@@ -1,15 +1,17 @@
 """Throughput regression harness: scalar loop vs the batched engines.
 
-Runs the full packet pipeline on the main CAIDA-like lab trace under four
+Runs the full packet pipeline on the main CAIDA-like lab trace under three
 variants — the scalar reference loop, the PR-1 batched regulator feeding the
-scalar WSAF, and the delegated pipeline (batch-probed array-backed WSAF)
-with both contested-stretch replays, the PR-2 per-stretch FSM ``loop`` and
-the PR-3 vectorized segmented-FSM ``scan`` — and *appends* a
-machine-readable report to ``BENCH_throughput.json`` at the repo root.
+scalar WSAF, and the delegated pipeline (batch-probed array-backed WSAF) —
+and *appends* a machine-readable report to ``BENCH_throughput.json`` at
+the repo root.
 
 Rows are keyed by ``(git_sha, engine, wsaf_engine, regulator_replay,
-shards, backend)``: re-running on the same commit replaces that commit's
-rows, while rows from other commits are preserved, so the file
+shards, backend)``; ``regulator_replay`` is a legacy column — rows
+recorded while the vectorized ``scan`` replay existed carry ``"scan"``,
+every newer row ran the per-stretch FSM ``"loop"`` replay.  Re-running
+on the same commit replaces that commit's rows, while rows from other
+commits are preserved, so the file
 accumulates a throughput history across the PR stack.  On every write the
 whole history is normalized: legacy rows missing ``wsaf_engine`` /
 ``regulator_replay`` / ``backend`` are backfilled with the values they
@@ -35,10 +37,9 @@ breakdown:
   batch-probed ``accumulate_batch_arrays`` path.
 * **Hashing stage** — ``TabulationHash.hash_many`` vs the scalar
   ``hash`` loop over the trace's flow keys.
-* **Regulator stage** — each delegated variant's end-to-end time minus the
+* **Regulator stage** — the delegated variant's end-to-end time minus the
   batch-probed WSAF stage (the regulator kernel dominates; see
-  docs/PERFORMANCE.md).  Comparing the two delegated variants isolates the
-  replay change: everything else in the pipeline is shared code.
+  docs/PERFORMANCE.md).
 
 Regression bars (the test *fails* below them):
 
@@ -48,23 +49,14 @@ Regression bars (the test *fails* below them):
   within shared-machine jitter; see PR 2).
 * Batch-probed WSAF stage >= ``MIN_WSAF_STAGE_SPEEDUP`` x the scalar
   replay of the same event stream.
-* Scan replay >= ``MIN_SCAN_SPEEDUP`` x the loop replay end-to-end and
-  >= ``MIN_SCAN_REGULATOR_SPEEDUP`` x its regulator stage, measured
-  same-run so both sides see the same machine state.  The bars are set
-  below the observed margin (~2.4-2.9x e2e, ~2.7-3.1x stage on the
-  reference machine) to absorb VM jitter; the headline >= 3x regulator /
-  >= 2x end-to-end numbers vs the *recorded* PR-2 baseline row are
-  computed against the history file and printed in the report.
 
 ``python benchmarks/bench_throughput.py --quick`` runs a reduced smoke
-version (small trace, one timed round) for CI: it skips writing the
-history file and enforces only the scan-vs-loop bar, falling back to
-strict no-regression when the small-trace margin lands under the 2x
-target (VM jitter; same policy PR 2 used for the delegated bar).
+version (small trace, one timed round): it skips writing the history
+file and only checks that every variant ingested the whole trace.
 
 The sharded scaling benchmark (:func:`run_sharded_benchmark`) measures
 the streaming :class:`~repro.pipeline.ShardedPipeline` at
-``SHARD_COUNTS`` shards on the delegated/scan variant — fork-parallel
+``SHARD_COUNTS`` shards on the delegated variant — fork-parallel
 headline numbers plus the in-process run and the unsharded pipeline as
 baselines — and records one row per shard count (``shards: N`` joins the
 row key) with the per-stage breakdown (``route_s`` / ``ipc_s`` /
@@ -73,13 +65,13 @@ against the single-process estimates before any timing is trusted.  The
 4-shard >= ``MIN_SHARD_SPEEDUP`` x 1-shard bar only applies where the
 machine has >= 4 CPUs; below that, parallel speedup is physically
 impossible and the bar degrades to the ``MIN_SHARD_SPEEDUP_FALLBACK``
-no-collapse floor with a printed note (same policy as the smoke-mode
-scan bar).  ``--quick --shards N`` is the CI smoke: exactness is always
-enforced, timing only against the no-collapse floor.
+no-collapse floor with a printed note.  ``--quick --shards N`` is the
+CI smoke: exactness is always enforced, timing only against the
+no-collapse floor.
 
 The backend benchmark (:func:`run_backend_benchmark`) measures the
 non-flat WSAF backends under both engines: for each of ``tiered`` and
-``icebuckets`` it times the delegated/scan pipeline end-to-end with
+``icebuckets`` it times the batched pipeline end-to-end with
 ``wsaf_engine="scalar"`` vs ``"batched"`` — everything else shared —
 after checking the two runs produce identical estimates (the
 bit-identity contract, enforced before any timing is trusted), and then
@@ -136,14 +128,6 @@ MIN_SPEEDUP = 2.0
 MIN_DELEGATED_SPEEDUP = 1.0
 #: Regression bar: batch-probed WSAF stage vs scalar replay of one stream.
 MIN_WSAF_STAGE_SPEEDUP = 1.5
-#: Regression bar: scan replay vs loop replay, end-to-end (same run).
-MIN_SCAN_SPEEDUP = 2.0
-#: Regression bar: scan replay vs loop replay, regulator stage (same run).
-#: Conservative floor under VM jitter — the >= 3x claim is carried by the
-#: recorded rows vs the PR-2 baseline in BENCH_throughput.json.
-MIN_SCAN_REGULATOR_SPEEDUP = 2.0
-#: Smoke-mode floor: strict no-regression when jitter eats the 2x target.
-MIN_SCAN_SPEEDUP_SMOKE = 1.0
 
 #: Shard counts the scaling benchmark measures (each becomes one row).
 SHARD_COUNTS = (1, 2, 4, 8)
@@ -196,27 +180,25 @@ MIN_BACKEND_SPEEDUP_SMOKE = 0.15
 #: (no ``git_sha``) were measured on its working tree and are stamped
 #: with it during normalization (then superseded by its keyed rows).
 PRE_KEYING_SHA = "24c248f"
-#: The PR-2 commit whose recorded delegated/loop row is the baseline for
-#: the headline scan speedups reported (not asserted) by the harness.
+#: The PR-2 commit whose recorded delegated row is the baseline the
+#: harness reports (not asserts) the delegated variant against.
 PR2_BASELINE_SHA = "e62b8d3"
 
-#: (engine, wsaf_engine, regulator_replay) pipeline variants, slowest first.
+#: (engine, wsaf_engine) pipeline variants, slowest first.
 VARIANTS = (
-    ("scalar", "scalar", "loop"),
-    ("batched", "scalar", "loop"),
-    ("batched", "batched", "loop"),
-    ("batched", "batched", "scan"),
+    ("scalar", "scalar"),
+    ("batched", "scalar"),
+    ("batched", "batched"),
 )
-DELEGATED_LOOP = ("batched", "batched", "loop")
-DELEGATED_SCAN = ("batched", "batched", "scan")
+DELEGATED = ("batched", "batched")
 
 
-def _variant_label(engine: str, wsaf_engine: str, replay: str) -> str:
+def _variant_label(engine: str, wsaf_engine: str) -> str:
     if engine == "scalar":
         return "scalar"
     if wsaf_engine == "scalar":
         return "batched/wsaf-scalar"
-    return f"delegated/{replay}"
+    return "delegated"
 
 
 def _environment() -> "dict":
@@ -249,13 +231,9 @@ def _git_sha() -> str:
         return "unknown"
 
 
-def _config(engine: str, wsaf_engine: str, replay: str) -> InstaMeasureConfig:
+def _config(engine: str, wsaf_engine: str) -> InstaMeasureConfig:
     return InstaMeasureConfig(
-        seed=1,
-        engine=engine,
-        wsaf_engine=wsaf_engine,
-        regulator_replay=replay,
-        chunk_size=CHUNK_SIZE,
+        seed=1, engine=engine, wsaf_engine=wsaf_engine, chunk_size=CHUNK_SIZE
     )
 
 
@@ -281,7 +259,7 @@ def _capture_event_batches(source, config=None) -> "list[tuple]":
     delegation batches (keys, estimates, stamps, packed tuples) are recorded
     while the run proceeds normally.
     """
-    engine = InstaMeasure(config or _config(*DELEGATED_SCAN))
+    engine = InstaMeasure(config or _config(*DELEGATED))
     real = engine.wsaf.accumulate_batch_arrays
     batches: "list[tuple]" = []
 
@@ -367,9 +345,10 @@ def _normalize_history(history: "list[dict]") -> "list[dict]":
     * Rows without ``git_sha`` are the two pre-keying seed rows; they ran
       on :data:`PRE_KEYING_SHA`'s tree and are stamped with it (after
       which that commit's keyed re-measurements supersede them).
-    * Rows without ``wsaf_engine`` / ``regulator_replay`` predate those
-      knobs and ran the scalar WSAF / loop replay — backfill explicitly
-      so every row carries the full key.
+    * Rows without ``wsaf_engine`` / ``regulator_replay`` ran the scalar
+      WSAF / loop replay (they predate the knobs, or postdate the scan
+      replay's retirement) — backfill explicitly so every row carries
+      the full key.
     * Rows without ``shards`` predate the sharded scaling benchmark and
       all ran a single unsharded pipeline — backfill ``shards: 1``.
     * Rows without ``backend`` predate the WSAF storage seam and all ran
@@ -499,22 +478,18 @@ def run_benchmark(
             "delegated_events": num_events,
         }
 
-    stages = {
-        DELEGATED_LOOP: stage_breakdown(DELEGATED_LOOP),
-        DELEGATED_SCAN: stage_breakdown(DELEGATED_SCAN),
-    }
+    stages = {DELEGATED: stage_breakdown(DELEGATED)}
 
     sha = _git_sha()
     now = time.time()
     environment = _environment()
     rows = []
     for variant in VARIANTS:
-        engine, wsaf_engine, replay = variant
+        engine, wsaf_engine = variant
         row = {
             "git_sha": sha,
             "engine": engine,
             "wsaf_engine": wsaf_engine,
-            "regulator_replay": replay,
             "backend": "flat",
             "pps": packets[variant] / best[variant],
             "seconds": best[variant],
@@ -531,59 +506,34 @@ def run_benchmark(
 
     scalar_pps = rows[0]["pps"]
     pr1_pps = rows[1]["pps"]
-    loop_row = rows[VARIANTS.index(DELEGATED_LOOP)]
-    scan_row = rows[VARIANTS.index(DELEGATED_SCAN)]
-    loop_reg_s = stages[DELEGATED_LOOP]["regulator_s"]
-    scan_reg_s = stages[DELEGATED_SCAN]["regulator_s"]
+    delegated_row = rows[VARIANTS.index(DELEGATED)]
+    st = stages[DELEGATED]
 
     lines = [f"commit {sha}  ({num_events} delegated WSAF events)"]
     lines.append("variant              pps          speedup")
     for row in rows:
-        label = _variant_label(
-            row["engine"], row["wsaf_engine"], row["regulator_replay"]
-        )
+        label = _variant_label(row["engine"], row["wsaf_engine"])
         lines.append(
             f"{label:<20} {row['pps']:>12,.0f} "
             f"{row['pps'] / scalar_pps:>7.2f}x"
         )
-    for variant in (DELEGATED_LOOP, DELEGATED_SCAN):
-        st = stages[variant]
-        lines.append(
-            f"stages ({variant[2]}): "
-            f"regulator {st['regulator_s'] * 1e3:.1f} ms, "
-            f"wsaf {wsaf_batched_s * 1e3:.1f} ms "
-            f"(scalar {wsaf_scalar_s * 1e3:.1f} ms, "
-            f"{st['wsaf_stage_speedup']:.2f}x), "
-            f"hashing {hash_vector_s * 1e3:.2f} ms "
-            f"(scalar {hash_scalar_s * 1e3:.2f} ms, "
-            f"{st['hash_speedup']:.2f}x)"
-        )
     lines.append(
-        "scan vs loop (same run): "
-        f"e2e {loop_row['seconds'] / scan_row['seconds']:.2f}x, "
-        f"regulator stage {loop_reg_s / scan_reg_s:.2f}x"
+        "stages (delegated): "
+        f"regulator {st['regulator_s'] * 1e3:.1f} ms, "
+        f"wsaf {wsaf_batched_s * 1e3:.1f} ms "
+        f"(scalar {wsaf_scalar_s * 1e3:.1f} ms, "
+        f"{st['wsaf_stage_speedup']:.2f}x), "
+        f"hashing {hash_vector_s * 1e3:.2f} ms "
+        f"(scalar {hash_scalar_s * 1e3:.2f} ms, "
+        f"{st['hash_speedup']:.2f}x)"
     )
     baseline = _baseline_row("loop")
-    if baseline is not None and baseline.get("packets") != scan_row["packets"]:
+    if baseline is not None and baseline.get("packets") != delegated_row["packets"]:
         baseline = None  # different trace (smoke mode) — not comparable
-    scan_vs_pr2 = {}
     if baseline is not None and baseline.get("seconds"):
-        base_reg = baseline.get("stages", {}).get("regulator_s")
-        scan_vs_pr2 = {
-            "e2e": baseline["seconds"] / scan_row["seconds"],
-            "regulator": (
-                base_reg / scan_reg_s if base_reg else None
-            ),
-        }
-        reg_txt = (
-            f"{scan_vs_pr2['regulator']:.2f}x"
-            if scan_vs_pr2["regulator"]
-            else "n/a"
-        )
         lines.append(
-            f"scan vs PR-2 baseline ({PR2_BASELINE_SHA}): "
-            f"e2e {scan_vs_pr2['e2e']:.2f}x (target 2x), "
-            f"regulator stage {reg_txt} (target 3x)"
+            f"delegated vs PR-2 baseline ({PR2_BASELINE_SHA}): "
+            f"e2e {baseline['seconds'] / delegated_row['seconds']:.2f}x"
         )
     lines.append(f"report: {OUTPUT_PATH.name}")
 
@@ -592,11 +542,8 @@ def run_benchmark(
         "report": "\n".join(lines),
         "speedups": {
             "batched_vs_scalar": pr1_pps / scalar_pps,
-            "delegated_vs_batched": loop_row["pps"] / pr1_pps,
-            "wsaf_stage": stages[DELEGATED_LOOP]["wsaf_stage_speedup"],
-            "scan_vs_loop": loop_row["seconds"] / scan_row["seconds"],
-            "scan_regulator_stage": loop_reg_s / scan_reg_s,
-            "scan_vs_pr2": scan_vs_pr2,
+            "delegated_vs_batched": delegated_row["pps"] / pr1_pps,
+            "wsaf_stage": st["wsaf_stage_speedup"],
         },
     }
 
@@ -609,7 +556,7 @@ def run_sharded_benchmark(
 ) -> "dict":
     """Measure streaming sharded ingestion at each shard count.
 
-    Uses the fastest variant (delegated/scan) throughout.  Per shard
+    Uses the fastest variant (delegated) throughout.  Per shard
     count, times the fork-parallel pool (where the platform can fork)
     and the bit-identical in-process mode, best-of ``rounds`` each, and
     checks the merged estimates against a single unsharded run before
@@ -620,7 +567,7 @@ def run_sharded_benchmark(
     / ``ingest_s`` / ``merge_s`` stage breakdown of the best round.
     Returns ``{"rows", "report", "scaling", "inproc_overhead"}``.
     """
-    config = _config(*DELEGATED_SCAN)
+    config = _config(*DELEGATED)
     source = TraceChunkSource(trace, chunk_size=CHUNK_SIZE)
     use_fork = _fork_available()
 
@@ -683,7 +630,6 @@ def run_sharded_benchmark(
                 "git_sha": sha,
                 "engine": "batched",
                 "wsaf_engine": "batched",
-                "regulator_replay": "scan",
                 "backend": "flat",
                 "shards": num_shards,
                 "parallel": fork_s is not None,
@@ -771,7 +717,6 @@ def _backend_config(backend: str, wsaf_engine: str) -> InstaMeasureConfig:
         seed=1,
         engine="batched",
         wsaf_engine=wsaf_engine,
-        regulator_replay="scan",
         chunk_size=CHUNK_SIZE,
         wsaf_backend=backend,
     )
@@ -836,7 +781,7 @@ def run_backend_benchmark(
 
     For each backend in :data:`BACKENDS`:
 
-    * End-to-end: the delegated/scan pipeline with ``wsaf_engine=
+    * End-to-end: the batched pipeline with ``wsaf_engine=
       "scalar"`` vs ``"batched"``, every other knob shared, best of
       ``rounds``.  The warm-up pass doubles as the bit-identity check —
       both engines must produce identical estimates on the full trace
@@ -903,7 +848,6 @@ def run_backend_benchmark(
                     "git_sha": sha,
                     "engine": "batched",
                     "wsaf_engine": engine,
-                    "regulator_replay": "scan",
                     "backend": backend,
                     "pps": pps,
                     "seconds": best[engine],
@@ -963,7 +907,7 @@ def test_sharded_scaling(caida_trace, write_report):
 
 
 def test_throughput_regression(caida_trace, write_report):
-    """Four-variant pps + stage breakdown; appends BENCH_throughput.json."""
+    """Three-variant pps + stage breakdown; appends BENCH_throughput.json."""
     result = run_benchmark(caida_trace, ROUNDS, STAGE_ROUNDS)
     write_report("bench_throughput", result["report"])
 
@@ -982,15 +926,6 @@ def test_throughput_regression(caida_trace, write_report):
         f"batch-probed WSAF stage is only {speedups['wsaf_stage']:.2f}x the "
         f"scalar replay (regression bar: {MIN_WSAF_STAGE_SPEEDUP}x)"
     )
-    assert speedups["scan_vs_loop"] >= MIN_SCAN_SPEEDUP, (
-        f"scan replay is only {speedups['scan_vs_loop']:.2f}x the loop "
-        f"replay end-to-end (regression bar: {MIN_SCAN_SPEEDUP}x)"
-    )
-    assert speedups["scan_regulator_stage"] >= MIN_SCAN_REGULATOR_SPEEDUP, (
-        f"scan regulator stage is only "
-        f"{speedups['scan_regulator_stage']:.2f}x the loop stage "
-        f"(regression bar: {MIN_SCAN_REGULATOR_SPEEDUP}x)"
-    )
 
 
 def main() -> None:
@@ -998,8 +933,8 @@ def main() -> None:
     parser.add_argument(
         "--quick",
         action="store_true",
-        help="CI smoke: small trace, one timed round, scan bar only "
-        "(no-regression fallback), history file untouched",
+        help="CI smoke: small trace, one timed round, packet counts only, "
+        "history file untouched",
     )
     parser.add_argument(
         "--shards",
@@ -1091,18 +1026,6 @@ def main() -> None:
     print(result["report"])
     for row in result["rows"]:
         assert row["packets"] == trace.num_packets, "packet count mismatch"
-    if args.quick:
-        scan_ratio = result["speedups"]["scan_vs_loop"]
-        assert scan_ratio >= MIN_SCAN_SPEEDUP_SMOKE, (
-            f"scan replay regressed: {scan_ratio:.2f}x the loop replay "
-            f"(strict no-regression floor: {MIN_SCAN_SPEEDUP_SMOKE}x)"
-        )
-        if scan_ratio < MIN_SCAN_SPEEDUP:
-            print(
-                f"note: scan {scan_ratio:.2f}x loop is under the "
-                f"{MIN_SCAN_SPEEDUP}x target — accepted as no-regression "
-                "(small-trace smoke under VM jitter)"
-            )
 
 
 if __name__ == "__main__":

@@ -772,15 +772,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             record=not args.no_record,
         )
     print(result["report"])
-    if args.quick:
-        scan_ratio = result["speedups"]["scan_vs_loop"]
-        if scan_ratio < bench.MIN_SCAN_SPEEDUP_SMOKE:
-            print(
-                f"error: scan replay regressed to {scan_ratio:.2f}x the "
-                "loop replay",
-                file=sys.stderr,
-            )
-            return 1
     return 0
 
 

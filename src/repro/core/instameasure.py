@@ -56,39 +56,6 @@ ENGINE_CHOICES = ("auto", "batched", "scalar")
 #: Valid ``InstaMeasureConfig.wsaf_engine`` values.
 WSAF_ENGINE_CHOICES = ("auto", "batched", "scalar")
 
-#: Valid ``InstaMeasureConfig.regulator_replay`` values.
-REGULATOR_REPLAY_CHOICES = ("auto", "scan", "loop")
-
-
-def resolved_regulator_replay(config: "InstaMeasureConfig") -> str:
-    """Which contested-stretch replay ``config`` gets: "scan" or "loop".
-
-    ``"auto"`` picks the vectorized segmented-FSM scan
-    (:mod:`repro.kernels.regulator_scan`) whenever the batched trace
-    engine runs with a batch-probed WSAF — or with the scalar table that
-    ICE-Buckets' backend-aware ``wsaf_engine="auto"`` picks on purely
-    measured grounds — and keeps the per-stretch FSM loop otherwise,
-    preserving the PR-2 loop variants as A/B baselines (an explicit
-    ``wsaf_engine="scalar"`` still means "give me the scalar-era
-    pipeline").  Both replays are bit-identical; only throughput
-    differs.
-    """
-    if config.regulator_replay in ("scan", "loop"):
-        return config.regulator_replay
-    if config.engine == "scalar":
-        return "loop"
-    if resolved_wsaf_engine(config) == "batched":
-        return "scan"
-    if config.wsaf_engine == "auto" and config.wsaf_backend == "icebuckets":
-        # ICE-Buckets' ``auto`` keeps the *scalar table* purely because
-        # its serial quantized adds measure faster that way — not as an
-        # A/B baseline request — and the scan replay composes with a
-        # scalar WSAF through the per-event facade, so the batched trace
-        # path keeps its vectorized regulator.
-        return "scan"
-    return "loop"
-
-
 def resolved_wsaf_engine(config: "InstaMeasureConfig") -> str:
     """Which WSAF column layout ``config`` gets: "batched" or "scalar".
 
@@ -167,11 +134,6 @@ class InstaMeasureConfig:
             quantized adds measure faster scalar), ``"batched"`` /
             ``"scalar"`` force one.  Both stores are state-identical;
             only throughput differs.
-        regulator_replay: contested-stretch replay inside the batched
-            kernel — ``"auto"`` uses the vectorized segmented-FSM scan when
-            the fully batched pipeline runs and the per-stretch FSM loop
-            otherwise; ``"scan"`` / ``"loop"`` force one (A/B knob).  Both
-            replays are bit-identical; ignored by ``engine="scalar"``.
         wsaf_backend: working-set storage algorithm — ``"flat"`` (the
             paper's table, bit-identical to pre-backend behaviour),
             ``"tiered"`` (hot top-K SRAM cache in front of the DRAM
@@ -201,7 +163,6 @@ class InstaMeasureConfig:
     engine: str = "auto"
     chunk_size: int = 1 << 20
     wsaf_engine: str = "auto"
-    regulator_replay: str = "auto"
     wsaf_backend: str = "flat"
     tier_cache_entries: int = 256
     tier_interval: int = 1024
@@ -224,11 +185,6 @@ class InstaMeasureConfig:
             raise ConfigurationError(
                 f"unknown wsaf_engine {self.wsaf_engine!r}; "
                 f"known: {WSAF_ENGINE_CHOICES}"
-            )
-        if self.regulator_replay not in REGULATOR_REPLAY_CHOICES:
-            raise ConfigurationError(
-                f"unknown regulator_replay {self.regulator_replay!r}; "
-                f"known: {REGULATOR_REPLAY_CHOICES}"
             )
         if self.wsaf_entries < 2:
             raise ConfigurationError(
@@ -614,7 +570,6 @@ class InstaMeasure:
                 )
         self.wsaf = build_wsaf_table(self.config, accountant)
         self.wsaf_engine = resolved_wsaf_engine(self.config)
-        self.regulator_replay = resolved_regulator_replay(self.config)
         self._rng = random.Random(self.config.seed ^ 0x5EED)
         self._stream: "_StreamState | None" = None
 
@@ -836,7 +791,6 @@ class InstaMeasure:
             trace,
             on_accumulate=on_accumulate,
             delegate=self.wsaf_engine == "batched",
-            regulator_replay=self.regulator_replay,
             bits=bits,
             stream_tag=stream_tag,
         )

@@ -9,8 +9,6 @@ the scalar loop (same randomness stream, same state, same WSAF records).
 * :mod:`repro.kernels.luts` — cached per-geometry transition tables.
 * :mod:`repro.kernels.batched` — the chunked kernel behind
   ``InstaMeasure.process_trace(engine="batched")``.
-* :mod:`repro.kernels.regulator_scan` — the vectorized contested-stretch
-  replay behind ``regulator_replay="scan"``.
 
 See ``docs/PERFORMANCE.md`` for the design rationale and measured
 speedups, and ``benchmarks/bench_throughput.py`` for the regression
@@ -25,7 +23,6 @@ from repro.kernels.batched import (
     supports_batched,
 )
 from repro.kernels.luts import SENTINEL, KernelTables, kernel_tables
-from repro.kernels.regulator_scan import process_trace_scan
 
 __all__ = [
     "BatchCounters",
@@ -35,6 +32,5 @@ __all__ = [
     "clear_kernel_caches",
     "kernel_tables",
     "process_trace_batched",
-    "process_trace_scan",
     "supports_batched",
 ]

@@ -43,9 +43,6 @@ _LAYOUT_ATTR = "_batched_layout"
 #: Trace attribute holding the delegated path's per-chunk derived streams.
 _STREAM_ATTR = "_delegated_streams"
 
-#: Trace attribute holding the scan replay's per-chunk occ/chain tables.
-_SCAN_ATTR = "_scan_streams"
-
 #: Bumped when the layout dict layout changes, to invalidate stale caches.
 _LAYOUT_VERSION = 3
 
@@ -56,14 +53,13 @@ DEFAULT_CHUNK_SIZE = 1 << 20
 def clear_kernel_caches(trace) -> None:
     """Drop every kernel-derived cache pinned on ``trace``.
 
-    The chunk layouts (:data:`_LAYOUT_ATTR`), the delegated path's derived
-    streams (:data:`_STREAM_ATTR`), and the scan replay's position tables
-    (:data:`_SCAN_ATTR`) together hold several NumPy arrays per chunk — on
-    a million-packet trace tens of megabytes that would otherwise live as
-    long as the trace object does.  Call this when a trace outlives its
+    The chunk layouts (:data:`_LAYOUT_ATTR`) and the delegated path's
+    derived streams (:data:`_STREAM_ATTR`) together hold several NumPy
+    arrays per chunk — on a million-packet trace tens of megabytes that
+    would otherwise live as long as the trace object does.  Call this when a trace outlives its
     runs (the multi-core manager does, for its per-worker sub-traces).
     """
-    for attr in (_LAYOUT_ATTR, _STREAM_ATTR, _SCAN_ATTR):
+    for attr in (_LAYOUT_ATTR, _STREAM_ATTR):
         if hasattr(trace, attr):
             delattr(trace, attr)
 
@@ -185,7 +181,6 @@ def process_trace_batched(
     on_accumulate=None,
     chunk_size: "int | None" = None,
     delegate: bool = False,
-    regulator_replay: str = "loop",
     bits=None,
     stream_tag=None,
 ) -> BatchCounters:
@@ -201,12 +196,8 @@ def process_trace_batched(
     a vectorized word-level saturation screen in front of the per-stretch
     loop, an 8-packet OR screen inside the FSM replay, and WSAF updates
     handed over per chunk as one ``accumulate_batch`` call instead of one
-    ``accumulate`` per event.  ``regulator_replay="scan"`` swaps the
-    contested-stretch FSM loop for the fully vectorized segmented scan
-    (:mod:`repro.kernels.regulator_scan`), which always runs the delegated
-    pipeline shape.  All paths are bit-identical to the scalar loop;
-    ``"loop"`` preserves the original pipelines so the generations stay
-    separately benchmarkable.
+    ``accumulate`` per event.  Both paths are bit-identical to the scalar
+    loop.
 
     ``bits`` overrides the per-packet random bit draws with externally
     supplied ``(bits1, bits2)`` uint8 arrays — the streaming ingest path
@@ -215,12 +206,6 @@ def process_trace_batched(
     trace-pinned stream caches when the same trace object is processed
     with different bit slices (see :func:`_stream_key`).
     """
-    if regulator_replay == "scan":
-        from repro.kernels.regulator_scan import process_trace_scan
-
-        return process_trace_scan(
-            engine, trace, on_accumulate, chunk_size, bits, stream_tag
-        )
     if delegate:
         return _process_trace_delegated(
             engine, trace, on_accumulate, chunk_size, bits, stream_tag
@@ -523,12 +508,12 @@ def _stream_key(engine, l1, chunk_size: int, stream_tag=None) -> "tuple":
     )
 
 
-def _chunk_stream_slots(trace, key, num_chunks: int, attr: str) -> "list":
-    """The per-chunk cache list under ``trace.<attr>``, reset on key change."""
-    cache = getattr(trace, attr, None)
+def _chunk_stream_slots(trace, key, num_chunks: int) -> "list":
+    """The per-chunk stream cache list on ``trace``, reset on key change."""
+    cache = getattr(trace, _STREAM_ATTR, None)
     if cache is None or cache[0] != key:
         cache = (key, [None] * num_chunks)
-        setattr(trace, attr, cache)
+        setattr(trace, _STREAM_ATTR, cache)
     return cache[1]
 
 
@@ -559,9 +544,8 @@ def _build_chunk_stream(
 ) -> "tuple":
     """One chunk's derived streams (see ``_process_trace_delegated``).
 
-    ``with_quad_list`` controls whether the scalar quad replay's boxed-int
-    stream is materialized now (the vectorized scan never needs it; the
-    loop replay fills it lazily on first use via :func:`_quad_stream_list`).
+    ``with_quad_list`` controls whether the quad replay's boxed-int stream
+    is built (only geometries with ``saturation_bits >= 4`` replay quads).
     """
     order = layout["order"]
     sorted_code = code_all[order]
@@ -740,7 +724,6 @@ def _process_trace_delegated(
         trace,
         _stream_key(engine, l1, chunk_size, stream_tag),
         len(layouts),
-        _STREAM_ATTR,
     )
 
     code_all = None
@@ -792,11 +775,6 @@ def _process_trace_delegated(
                 window_masks_np,
                 with_quad_list=use_quad,
             )
-            chunk_streams[chunk_index] = streams
-        elif use_quad and streams[7] is None:
-            # The cache entry was built by a scan run, which never needs
-            # the boxed-int quad stream; materialize it once.
-            streams = streams[:7] + (_quad_stream_list(streams[1]),)
             chunk_streams[chunk_index] = streams
         (
             sorted_code,

@@ -117,32 +117,10 @@ def kernel_tables(vector_bits: int, saturation_bits: int) -> KernelTables:
     return tables
 
 
-_SINGLE_FLAT_CACHE: "dict[tuple[int, int], np.ndarray]" = {}
-
-
-def single_flat_np(vector_bits: int, saturation_bits: int) -> "np.ndarray":
-    """The single-packet table packed for NumPy gathers.
-
-    A flat ``int16`` array of ``2**vector_bits * 8`` entries indexed
-    ``flat[(state << 3) | bit]`` (bit columns padded to a power-of-two
-    stride so the index is a shift-OR, not a multiply).  Values match
-    :attr:`KernelTables.single` exactly — ``state`` or ``SENTINEL + z`` —
-    which is what the vectorized regulator scan's column-parallel L2
-    stepping gathers per active stretch.
-    """
-    key = (vector_bits, saturation_bits)
-    cached = _SINGLE_FLAT_CACHE.get(key)
-    if cached is not None:
-        return cached
-    tables = kernel_tables(vector_bits, saturation_bits)
-    flat = np.zeros((1 << vector_bits, 8), dtype=np.int16)
-    flat[:, :vector_bits] = np.array(tables.single, dtype=np.int16)
-    flat = np.ascontiguousarray(flat.reshape(-1))
-    _SINGLE_FLAT_CACHE[key] = flat
-    return flat
-
-
 _QUAD_CACHE: "dict[tuple[int, int], object]" = {}
+
+#: Window states per :func:`quad_tables` build step (bounds peak memory).
+_QUAD_BLOCK_STATES = 16
 
 
 def quad_tables(vector_bits: int, saturation_bits: int):
@@ -160,8 +138,8 @@ def quad_tables(vector_bits: int, saturation_bits: int):
     where ``pos`` is the saturating packet's position in the block, ``z``
     its noise level, and ``after`` the window state once the remaining
     packets replayed from empty.  Built by composing the (separately
-    verified) single-packet table, vectorized over the full
-    ``states x 4096`` grid.
+    verified) single-packet table, vectorized over ``states x 4096``
+    blocks of a few states at a time.
 
     The flat unboxed layout matters: the table has a million entries, and
     a nested list of boxed ints scatters them across the heap — every
@@ -189,26 +167,30 @@ def quad_tables(vector_bits: int, saturation_bits: int):
     valid = np.ones(4096, dtype=bool)
     for b in bits:
         valid &= b < vector_bits
-    cur = np.broadcast_to(
-        np.arange(num_states, dtype=np.int32)[:, None], (num_states, 4096)
-    ).copy()
-    sat_tag = np.full((num_states, 4096), -1, dtype=np.int32)
-    for pos, b in enumerate(bits):
-        safe_b = np.where(valid, b, 0)
-        nxt = s1[cur, safe_b[None, :]]
-        # With saturation_bits >= 4 a second saturation inside the block
-        # is impossible, so any sentinel here is the block's only one.
-        sat_now = nxt >= SENTINEL
-        sat_tag = np.where(
-            sat_now, (pos << 3) | (nxt - SENTINEL), sat_tag
+    safe_bits = [np.where(valid, b, 0)[None, :] for b in bits]
+    flat = array("H", [0]) * (num_states * 4096)
+    out = np.frombuffer(flat, dtype=np.uint16).reshape(num_states, 4096)
+    # A few states at a time, straight into the output buffer: the full
+    # states x 4096 grid of int32 temporaries would cost ~20 MB of peak
+    # memory for a table that ends up 2 MB.
+    for first in range(0, num_states, _QUAD_BLOCK_STATES):
+        last = min(first + _QUAD_BLOCK_STATES, num_states)
+        states = np.arange(first, last, dtype=np.int32)
+        cur = np.repeat(states[:, None], 4096, axis=1)
+        sat_tag = np.full(cur.shape, -1, dtype=np.int32)
+        for pos, b in enumerate(safe_bits):
+            nxt = s1[cur, b]
+            # With saturation_bits >= 4 a second saturation inside the
+            # block is impossible, so any sentinel here is the block's
+            # only one.
+            sat_now = nxt >= SENTINEL
+            sat_tag = np.where(sat_now, (pos << 3) | (nxt - SENTINEL), sat_tag)
+            cur = np.where(sat_now, 0, nxt)
+        out[first:last] = np.where(
+            sat_tag < 0, cur, SENTINEL + (sat_tag << 8) + cur
         )
-        cur = np.where(sat_now, 0, nxt)
-    result = np.where(
-        sat_tag < 0, cur, SENTINEL + (sat_tag << 8) + cur
-    )
-    result[:, ~valid] = 0
-    flat = array("H")
-    flat.frombytes(np.ascontiguousarray(result.astype(np.uint16)).tobytes())
+    out[:, ~valid] = 0
+    del out  # release the buffer export so the array stays resizable
     _QUAD_CACHE[key] = flat
     return flat
 

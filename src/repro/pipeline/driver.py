@@ -73,6 +73,10 @@ class PipelineResult:
     the aggregate :meth:`~repro.pipeline.control.ControllerStats.as_dict`.
     Without a controller ``offered_packets == packets`` and the other
     two stay empty/``None``.
+
+    ``elapsed_seconds`` is the run's total time inside ``ingest`` (source
+    slicing excluded) over *every* chunk, not just the ``chunks`` window
+    the driver's ``history`` keeps.
     """
 
     result: object
@@ -84,11 +88,7 @@ class PipelineResult:
     offered_packets: int = 0
     decisions: list = field(default_factory=list)
     controller_stats: "dict | None" = None
-
-    @property
-    def elapsed_seconds(self) -> float:
-        """Total time spent inside ``ingest`` (source slicing excluded)."""
-        return sum(chunk.seconds for chunk in self.chunks)
+    elapsed_seconds: float = 0.0
 
     @property
     def pps(self) -> float:
@@ -343,6 +343,7 @@ class Pipeline:
             epochs=run.epochs,
             prefetch_stats=getattr(run.source, "prefetch_stats", None),
             offered_packets=run.offered_packets,
+            elapsed_seconds=run.ingest_seconds,
             decisions=(
                 list(run.governor.decisions) if run.governor is not None else []
             ),

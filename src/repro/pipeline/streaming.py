@@ -50,20 +50,18 @@ DEFAULT_STREAM_CHUNK = 8192
 
 _EMPTY = np.empty(0, dtype=RECORD_DTYPE)
 
-#: Two-u64 key pair for vectorized 5-tuple dedup (packed with the same
-#: bit layout FlowTable._compute_keys folds, so unpacking is exact).
-_PAIR_DTYPE = np.dtype([("hi", "<u8"), ("lo", "<u8")])
-
-
 def trace_from_records(records: np.ndarray, hash_seed: int = 0) -> Trace:
     """Columnar trace from a block of pcap-lite records.
 
     Flows are deduplicated vectorized (no Python loop over packets): the
-    5-tuple is packed into a (hi, lo) u64 pair, ``np.unique`` builds the
-    flow table and the per-packet flow ids in one pass, and the columns
-    are unpacked back out of the unique pairs.  Flow order is the pairs'
-    sort order — flow *indices* carry no meaning anywhere downstream
-    (identity is ``key64``), only the per-packet mapping matters.
+    5-tuple is packed into a (hi, lo) u64 pair (the bit layout
+    FlowTable._compute_keys folds, so unpacking is exact), one two-column
+    ``lexsort`` orders the packets by pair, an adjacent-difference mask
+    marks each new flow, and its running count scattered back through the
+    sort order gives the per-packet flow ids.  Flow order is the pairs'
+    sort order (hi, then lo, unsigned) — flow *indices* carry no meaning
+    anywhere downstream (identity is ``key64``), only the per-packet
+    mapping matters.
     """
     src = records["src_ip"].astype(np.uint64)
     dst = records["dst_ip"].astype(np.uint64)
@@ -74,12 +72,15 @@ def trace_from_records(records: np.ndarray, hash_seed: int = 0) -> Trace:
         | (records["dst_port"].astype(np.uint64) << np.uint64(8))
         | records["protocol"].astype(np.uint64)
     )
-    pairs = np.empty(len(records), dtype=_PAIR_DTYPE)
-    pairs["hi"] = hi
-    pairs["lo"] = lo
-    unique, flow_ids = np.unique(pairs, return_inverse=True)
-    uhi = unique["hi"]
-    ulo = unique["lo"]
+    order = np.lexsort((lo, hi))
+    hi = hi[order]
+    lo = lo[order]
+    new_flow = np.ones(len(order), dtype=bool)
+    new_flow[1:] = (hi[1:] != hi[:-1]) | (lo[1:] != lo[:-1])
+    flow_ids = np.empty(len(order), dtype=np.int64)
+    flow_ids[order] = np.cumsum(new_flow, dtype=np.int64) - 1
+    uhi = hi[new_flow]
+    ulo = lo[new_flow]
     flows = FlowTable(
         src_ip=(uhi >> np.uint64(8)).astype(np.uint32),
         dst_ip=(
@@ -93,7 +94,7 @@ def trace_from_records(records: np.ndarray, hash_seed: int = 0) -> Trace:
     )
     return Trace(
         timestamps=records["timestamp"].astype(np.float64),
-        flow_ids=flow_ids.reshape(-1).astype(np.int64),
+        flow_ids=flow_ids,
         sizes=records["size"].astype(np.int64),
         flows=flows,
     )

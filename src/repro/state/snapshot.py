@@ -34,6 +34,11 @@ _LOW64 = (1 << 64) - 1
 #: ``MeasurementSnapshot.kind`` for single-engine captures.
 KIND_INSTAMEASURE = "instameasure"
 
+#: Config fields older builds embedded in snapshots that this build no
+#: longer has.  Each was a throughput-only knob with bit-identical state,
+#: so restoring without it rebuilds the same engine.
+RETIRED_CONFIG_FIELDS = ("regulator_replay",)
+
 
 def pack_tuple_columns(tuples) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
     """Split packed 104-bit 5-tuples into (lo, hi, present) columns.
@@ -293,6 +298,19 @@ class MeasurementSnapshot:
                 found[key] = table[key]
         return found
 
+    def engine_config(self):
+        """The embedded config as an :class:`~repro.core.instameasure.
+        InstaMeasureConfig`, minus :data:`RETIRED_CONFIG_FIELDS`."""
+        from repro.core.instameasure import InstaMeasureConfig
+
+        return InstaMeasureConfig(
+            **{
+                name: value
+                for name, value in self.config.items()
+                if name not in RETIRED_CONFIG_FIELDS
+            }
+        )
+
     def restore(self, accountant=None):
         """Materialize a live :class:`~repro.core.instameasure.InstaMeasure`."""
         return restore_engine(self, accountant=accountant)
@@ -426,13 +444,13 @@ def restore_engine(snapshot: MeasurementSnapshot, accountant=None):
     stream's RNG cursor are installed.  A restored mid-stream engine
     continues ingesting exactly where the captured one stopped.
     """
-    from repro.core.instameasure import InstaMeasure, InstaMeasureConfig
+    from repro.core.instameasure import InstaMeasure
 
     if snapshot.kind != KIND_INSTAMEASURE:
         raise SnapshotError(
             f"cannot restore snapshot kind {snapshot.kind!r} into an engine"
         )
-    engine = InstaMeasure(InstaMeasureConfig(**snapshot.config), accountant)
+    engine = InstaMeasure(snapshot.engine_config(), accountant)
     restore_regulator(engine.regulator, snapshot.regulator)
     engine.wsaf.load_state(snapshot.wsaf)
     cursor = snapshot.stream

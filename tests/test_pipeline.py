@@ -403,6 +403,19 @@ class TestIncrementalDriver:
         with pytest.raises(ConfigurationError):
             Pipeline(engine, history=0)
 
+    def test_elapsed_covers_chunks_beyond_history(self, trace):
+        seconds: "list[float]" = []
+        pipeline = Pipeline(
+            _engine("batched", "batched"),
+            history=3,
+            on_chunk=lambda stats: seconds.append(stats.seconds),
+        )
+        outcome = pipeline.run(TraceChunkSource(trace, chunk_size=300))
+        assert len(seconds) > len(outcome.chunks) == 3
+        assert outcome.elapsed_seconds == pytest.approx(sum(seconds))
+        assert outcome.elapsed_seconds > sum(c.seconds for c in outcome.chunks)
+        assert outcome.pps == pytest.approx(trace.num_packets / sum(seconds))
+
     def test_first_epoch_resumes_cadence(self, tiny_trace):
         fired: "list[int]" = []
         pipeline = Pipeline(

@@ -265,6 +265,22 @@ class TestMeasurementDaemon:
         stats = daemon.stats()
         assert stats["pps_total"] >= 0.5 * batch.pps
 
+    def test_pps_total_covers_chunks_beyond_history(self, trace, capture):
+        daemon = _run_daemon(
+            MeasurementDaemon(
+                _source(capture, epoch_seconds=None),
+                config=_config(),
+                history=3,
+            )
+        )
+        assert daemon.error is None
+        result = daemon.result
+        assert len(result.chunks) == 3 < daemon.stats()["chunks"]
+        assert result.elapsed_seconds > sum(c.seconds for c in result.chunks)
+        assert daemon.stats()["pps_total"] == pytest.approx(
+            trace.num_packets / result.elapsed_seconds
+        )
+
     def test_stats_and_queries(self, trace, capture):
         daemon = _run_daemon(
             MeasurementDaemon(

@@ -298,3 +298,20 @@ class TestGoldenBackendIdentity:
             assert golden.wsaf.tier.demotions > 0
         else:
             assert golden.wsaf.ice.upscales > 0
+
+
+class TestRetiredConfigFields:
+    """Goldens written before a knob was retired still load and restore."""
+
+    @pytest.mark.parametrize(
+        "name", ["flat_scalar", "flat_batched", "tiered", "icebuckets"]
+    )
+    def test_golden_restores_without_retired_knob(self, name):
+        payload = (GOLDEN_DIR / f"{name}.imsnap").read_bytes()
+        golden = from_bytes(payload)
+        assert to_bytes(golden) == payload
+        # Captured when the config still carried regulator_replay.
+        assert "regulator_replay" in golden.config
+        engine = InstaMeasure.from_snapshot(golden)
+        assert not hasattr(engine.config, "regulator_replay")
+        assert capture_engine(engine).estimates() == golden.estimates()

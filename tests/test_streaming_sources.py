@@ -18,6 +18,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core import InstaMeasure, InstaMeasureConfig
 from repro.errors import ConfigurationError, TraceFormatError
@@ -28,7 +30,12 @@ from repro.pipeline import (
     TraceChunkSource,
     trace_from_records,
 )
-from repro.traffic import CaidaLikeConfig, build_caida_like_trace
+from repro.traffic import (
+    CaidaLikeConfig,
+    FlowTable,
+    Trace,
+    build_caida_like_trace,
+)
 from repro.traffic.pcaplite import (
     HEADER_BYTES,
     RECORD_BYTES,
@@ -73,6 +80,75 @@ def _chunk_signature(chunk):
     )
 
 
+_U32 = st.integers(0, (1 << 32) - 1)
+_PORT = st.integers(0, (1 << 16) - 1)
+_TUPLE = st.tuples(_U32, _U32, _PORT, _PORT, st.integers(0, 255))
+
+
+def _records(tuples) -> np.ndarray:
+    """pcap-lite records for ``(src, dst, sport, dport, proto)`` tuples."""
+    records = np.zeros(len(tuples), dtype=RECORD_DTYPE)
+    for index, column in enumerate(
+        ("src_ip", "dst_ip", "src_port", "dst_port", "protocol")
+    ):
+        records[column] = [t[index] for t in tuples]
+    records["timestamp"] = np.arange(len(tuples)) * 1e-3
+    records["size"] = 64 + np.arange(len(tuples)) % 1400
+    return records
+
+
+@st.composite
+def _record_blocks(draw) -> np.ndarray:
+    """Record blocks whose flows collide on one packed half.
+
+    The dedupe packs each 5-tuple into a (hi, lo) u64 pair: hi holds the
+    source address and the destination's top byte, lo the rest.  Every
+    drawn base flow gets siblings sharing its hi but not its lo, and
+    sharing its lo but not its hi, so ordering on both columns matters.
+    """
+    base = draw(st.lists(_TUPLE, min_size=1, max_size=5))
+    pool = list(base)
+    for src, dst, sport, dport, proto in base:
+        same_hi_dst = (dst & 0xFF000000) | draw(st.integers(0, 0xFFFFFF))
+        pool.append((src, same_hi_dst, draw(_PORT), dport, proto))
+        same_lo_dst = (draw(st.integers(0, 0xFF)) << 24) | (dst & 0xFFFFFF)
+        pool.append((draw(_U32), same_lo_dst, sport, dport, proto))
+    picks = draw(st.lists(st.sampled_from(pool), max_size=80))
+    return _records(picks)
+
+
+def _reference_trace(records: np.ndarray, hash_seed: int) -> Trace:
+    """The structured-dtype ``np.unique`` dedupe, kept as the oracle."""
+    src = records["src_ip"].astype(np.uint64)
+    dst = records["dst_ip"].astype(np.uint64)
+    pairs = np.empty(len(records), dtype=[("hi", "<u8"), ("lo", "<u8")])
+    pairs["hi"] = (src << np.uint64(8)) | (dst >> np.uint64(24))
+    pairs["lo"] = (
+        ((dst & np.uint64(0xFFFFFF)) << np.uint64(40))
+        | (records["src_port"].astype(np.uint64) << np.uint64(24))
+        | (records["dst_port"].astype(np.uint64) << np.uint64(8))
+        | records["protocol"].astype(np.uint64)
+    )
+    unique, inverse = np.unique(pairs, return_inverse=True)
+    uhi, ulo = unique["hi"], unique["lo"]
+    flows = FlowTable(
+        src_ip=(uhi >> np.uint64(8)).astype(np.uint32),
+        dst_ip=(
+            ((uhi & np.uint64(0xFF)) << np.uint64(24)) | (ulo >> np.uint64(40))
+        ).astype(np.uint32),
+        src_port=((ulo >> np.uint64(24)) & np.uint64(0xFFFF)).astype(np.uint16),
+        dst_port=((ulo >> np.uint64(8)) & np.uint64(0xFFFF)).astype(np.uint16),
+        protocol=(ulo & np.uint64(0xFF)).astype(np.uint8),
+        hash_seed=hash_seed,
+    )
+    return Trace(
+        timestamps=records["timestamp"].astype(np.float64),
+        flow_ids=inverse.reshape(-1).astype(np.int64),
+        sizes=records["size"].astype(np.int64),
+        flows=flows,
+    )
+
+
 class TestTraceFromRecords:
     def test_round_trips_packets_and_flows(self, trace, capture):
         with PacketRecordReader(capture) as reader:
@@ -91,6 +167,31 @@ class TestTraceFromRecords:
     def test_empty_block(self):
         rebuilt = trace_from_records(np.empty(0, dtype=RECORD_DTYPE))
         assert rebuilt.num_packets == 0
+
+    @given(records=_record_blocks())
+    @example(records=np.empty(0, dtype=RECORD_DTYPE))
+    @example(records=_records([(1, 2, 3, 4, 6)]))
+    @example(records=_records([(0xC0A80001, 0x0A000001, 443, 51000, 6)] * 9))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_structured_unique_reference(self, records):
+        rebuilt = trace_from_records(records, hash_seed=7)
+        want = _reference_trace(records, hash_seed=7)
+        assert rebuilt.flow_ids.dtype == np.int64
+        np.testing.assert_array_equal(rebuilt.flow_ids, want.flow_ids)
+        for column in (
+            "src_ip",
+            "dst_ip",
+            "src_port",
+            "dst_port",
+            "protocol",
+            "key64",
+        ):
+            got = getattr(rebuilt.flows, column)
+            expected = getattr(want.flows, column)
+            assert got.dtype == expected.dtype, column
+            np.testing.assert_array_equal(got, expected, err_msg=column)
+        np.testing.assert_array_equal(rebuilt.timestamps, want.timestamps)
+        np.testing.assert_array_equal(rebuilt.sizes, want.sizes)
 
 
 class TestPacketRecordChunkSource:
