@@ -21,9 +21,9 @@ lab trace, and records one frontier row per variant in
   (``wall_pps``), to keep the modelled claim honest about simulator
   overhead.  Every timed round takes a ``gc.collect()`` first, so a
   stray gen-2 collection cannot inflate one variant's wall time.  Each
-  row also records the ``wsaf_engine`` the variant resolved to —
-  ``"auto"`` is backend-aware (batched for flat/tiered, scalar for
-  ICE-Buckets, whose serial quantized adds measure faster scalar).
+  row also records, as ``wsaf_engine``, the WSAF table form the variant
+  ran — batched for flat/tiered, scalar for ICE-Buckets, whose serial
+  quantized adds have no batch-probed form.
 
 Rows are keyed by ``(git_sha, label)``: re-running on a commit replaces
 that commit's rows and keeps other commits', same policy as
@@ -186,13 +186,15 @@ def _measure_variant(
     detected = set(np.flatnonzero(est_packets >= HH_THRESHOLD).tolist())
     outcome = classify_detections(detected, truth_hh, trace.num_flows)
 
-    from repro.core.instameasure import resolved_wsaf_engine
-
     modelled_s = accountant.modelled_seconds(labels=WSAF_LABELS)
     row = {
         "label": label,
         "backend": config.wsaf_backend,
-        "wsaf_engine": resolved_wsaf_engine(config),
+        "wsaf_engine": (
+            "batched"
+            if hasattr(engine.wsaf, "accumulate_batch_arrays")
+            else "scalar"
+        ),
         "config": {key: overrides[key] for key in sorted(overrides)},
         "packets": result.packets,
         "insertions": result.insertions,

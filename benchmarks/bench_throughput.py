@@ -1,15 +1,18 @@
-"""Throughput regression harness: scalar loop vs the batched engines.
+"""Throughput regression harness: scalar loop vs the batched engine.
 
-Runs the full packet pipeline on the main CAIDA-like lab trace under three
-variants — the scalar reference loop, the PR-1 batched regulator feeding the
-scalar WSAF, and the delegated pipeline (batch-probed array-backed WSAF) —
-and *appends* a machine-readable report to ``BENCH_throughput.json`` at
-the repo root.
+Runs the full packet pipeline on the main CAIDA-like lab trace under two
+variants — the scalar reference loop (scalar WSAF) and the batched
+kernel delegating to the batch-probed array-backed WSAF — and *appends*
+a machine-readable report to ``BENCH_throughput.json`` at the repo root.
 
 Rows are keyed by ``(git_sha, engine, wsaf_engine, regulator_replay,
-shards, backend)``; ``regulator_replay`` is a legacy column — rows
-recorded while the vectorized ``scan`` replay existed carry ``"scan"``,
-every newer row ran the per-stretch FSM ``"loop"`` replay.  Re-running
+shards, backend)``; ``wsaf_engine`` and ``regulator_replay`` are legacy
+columns.  ``wsaf_engine`` records the WSAF table form the row ran: older
+rows include ``batched`` engine runs over the scalar table, from when
+the form was a config knob; newer rows carry the form their engine
+resolves to.  Rows recorded while the vectorized ``scan`` replay existed
+carry ``regulator_replay: "scan"``, every newer row ran the per-stretch
+FSM ``"loop"`` replay.  Re-running
 on the same commit replaces that commit's rows, while rows from other
 commits are preserved, so the file
 accumulates a throughput history across the PR stack.  On every write the
@@ -32,21 +35,18 @@ breakdown:
 
 * **WSAF stage** — the delegated event stream is captured from a real run
   (by wrapping the table's ``accumulate_batch_arrays``), then replayed
-  against fresh tables both ways: the scalar ``accumulate_batch`` path the
-  PR-1 engine uses (including its list-of-tuples staging) and the
-  batch-probed ``accumulate_batch_arrays`` path.
+  against fresh tables both ways: the scalar table's ``accumulate_batch``
+  (including its list-of-tuples staging) and the batch-probed
+  ``accumulate_batch_arrays`` path.
 * **Hashing stage** — ``TabulationHash.hash_many`` vs the scalar
   ``hash`` loop over the trace's flow keys.
-* **Regulator stage** — the delegated variant's end-to-end time minus the
+* **Regulator stage** — the batched variant's end-to-end time minus the
   batch-probed WSAF stage (the regulator kernel dominates; see
   docs/PERFORMANCE.md).
 
 Regression bars (the test *fails* below them):
 
-* PR-1 batched engine >= ``MIN_SPEEDUP`` x scalar end-to-end.
-* Delegated loop engine >= ``MIN_DELEGATED_SPEEDUP`` x the PR-1 engine
-  end-to-end (strict no-regression — its honest ~1.15-1.25x margin is
-  within shared-machine jitter; see PR 2).
+* Batched engine >= ``MIN_SPEEDUP`` x scalar end-to-end.
 * Batch-probed WSAF stage >= ``MIN_WSAF_STAGE_SPEEDUP`` x the scalar
   replay of the same event stream.
 
@@ -56,7 +56,7 @@ file and only checks that every variant ingested the whole trace.
 
 The sharded scaling benchmark (:func:`run_sharded_benchmark`) measures
 the streaming :class:`~repro.pipeline.ShardedPipeline` at
-``SHARD_COUNTS`` shards on the delegated variant — fork-parallel
+``SHARD_COUNTS`` shards on the batched variant — fork-parallel
 headline numbers plus the in-process run and the unsharded pipeline as
 baselines — and records one row per shard count (``shards: N`` joins the
 row key) with the per-stage breakdown (``route_s`` / ``ipc_s`` /
@@ -70,23 +70,19 @@ CI smoke: exactness is always enforced, timing only against the
 no-collapse floor.
 
 The backend benchmark (:func:`run_backend_benchmark`) measures the
-non-flat WSAF backends under both engines: for each of ``tiered`` and
-``icebuckets`` it times the batched pipeline end-to-end with
-``wsaf_engine="scalar"`` vs ``"batched"`` — everything else shared —
-after checking the two runs produce identical estimates (the
-bit-identity contract, enforced before any timing is trusted), and then
-replays the backend's real delegated event stream against fresh tables
-both ways for the measured WSAF-stage speedup (the regulator admits few
-packets to the WSAF, so the stage is where the engine change shows).
-One row per ``(backend, wsaf_engine)`` joins the history (``backend``
-joins the row key; flat rows are backfilled with ``backend: "flat"``).
-Bars on the stage speedup: batched-tiered >=
-``MIN_BACKEND_SPEEDUP["tiered"]`` x scalar-tiered, batched-icebuckets
->= ``MIN_BACKEND_SPEEDUP["icebuckets"]`` x scalar-icebuckets (below 1 —
-ICE's quantized add chains are order-serial, so most cohorts replay
-through scalar arithmetic and the bar only guards against collapse;
-``wsaf_engine="auto"`` accordingly keeps the scalar table for ICE).
-All stage timings take a ``gc.collect()`` immediately before each
+tiered backend, the one non-flat backend with a batch-probed form (ICE
+Buckets re-rounds every add at a shared bucket scale, so it has one,
+scalar, form).  It times the batched pipeline end-to-end after checking
+that it produces the scalar engine's estimates (the bit-identity
+contract, enforced before any timing is trusted), then replays the
+backend's real delegated event stream against fresh
+:class:`~repro.core.wsaf_tiered.TieredWSAFTable` instances over the
+scalar and the batch-probed backing table for the measured WSAF-stage
+speedup (the regulator admits few packets to the WSAF, so the stage is
+where the table form shows).  One row per backend joins the history
+(``backend`` joins the row key; flat rows are backfilled with
+``backend: "flat"``).  Bar on the stage speedup: batched-tiered >=
+``MIN_BACKEND_SPEEDUP["tiered"]`` x scalar-tiered.  All stage timings take a ``gc.collect()`` immediately before each
 timed region: a collection landing inside the (allocation-heavy,
 pointer-rich) scalar replay otherwise inflates it several-fold and
 manufactures speedups that vanish under a fair protocol.  In
@@ -105,9 +101,11 @@ import pathlib
 import platform
 import subprocess
 import time
+from dataclasses import replace
 
 from repro.core import InstaMeasure, InstaMeasureConfig
 from repro.core.wsaf import WSAFTable
+from repro.core.wsaf_tiered import TieredWSAFTable
 from repro.hashing.tabulation import TabulationHash
 from repro.kernels.wsaf_batched import BatchedWSAFTable
 from repro.pipeline import Pipeline, ShardedPipeline, TraceChunkSource
@@ -121,11 +119,8 @@ ROUNDS = 5
 #: Timed rounds per stage microbench; best round wins.
 STAGE_ROUNDS = 5
 CHUNK_SIZE = 1 << 20
-#: Regression bar: the PR-1 batched engine vs the scalar loop.
+#: Regression bar: the batched engine vs the scalar loop.
 MIN_SPEEDUP = 2.0
-#: Regression bar: the delegated loop engine must not fall behind the
-#: PR-1 batched engine end-to-end (strict no-regression; see PR 2).
-MIN_DELEGATED_SPEEDUP = 1.0
 #: Regression bar: batch-probed WSAF stage vs scalar replay of one stream.
 MIN_WSAF_STAGE_SPEEDUP = 1.5
 
@@ -147,8 +142,9 @@ MIN_SHARD_SMOKE_FLOOR = 0.1
 #: must stay within 10% of the plain unsharded pipeline.
 MAX_INPROC_OVERHEAD = 1.10
 
-#: Non-flat backends measured by :func:`run_backend_benchmark`.
-BACKENDS = ("tiered", "icebuckets")
+#: Non-flat backends with a batch-probed form, measured by
+#: :func:`run_backend_benchmark`.
+BACKENDS = ("tiered",)
 #: Timed rounds per backend variant; best round wins.
 BACKEND_ROUNDS = 3
 #: Regression bars: batched vs scalar measured WSAF-stage pps (the
@@ -161,19 +157,13 @@ BACKEND_ROUNDS = 3
 #: probe + lexsort maintenance tick + batch-probed backing table vs the
 #: per-event facade; the tier_interval segment split caps the
 #: vectorized run length, so it cannot reach the flat table's ~2.5x).
-#: The ICE bar is a no-collapse floor below 1x (observed ~0.7x): the
-#: quantized add chain re-rounds at the bucket scale on every add, so
-#: chains are order-serial, a cold table's upscale screening demotes
-#: most hot cohorts to the scalar replay path, and the cohort planning
-#: is overhead on top — which is exactly why ``wsaf_engine="auto"``
-#: resolves ICE to the scalar table.
-MIN_BACKEND_SPEEDUP = {"tiered": 1.35, "icebuckets": 0.55}
+MIN_BACKEND_SPEEDUP = {"tiered": 1.35}
 #: Smoke-mode no-collapse floor: on the tiny CI trace the delegated
-#: stream is a few hundred events, where cohort planning plus the ICE
-#: overflow screen cost more than they save (and the scalar replay of
-#: demoted cohorts runs on numpy columns, pricier per event than the
-#: scalar table's list columns) — only outright collapse fails the
-#: smoke; the real bars are carried by the full-trace run.
+#: stream is a few hundred events, where cohort planning costs more
+#: than it saves (and the scalar replay of demoted cohorts runs on
+#: numpy columns, pricier per event than the scalar table's list
+#: columns) — only outright collapse fails the smoke; the real bar is
+#: carried by the full-trace run.
 MIN_BACKEND_SPEEDUP_SMOKE = 0.15
 
 #: Commit that introduced this harness; the two pre-keying seed rows
@@ -181,24 +171,11 @@ MIN_BACKEND_SPEEDUP_SMOKE = 0.15
 #: with it during normalization (then superseded by its keyed rows).
 PRE_KEYING_SHA = "24c248f"
 #: The PR-2 commit whose recorded delegated row is the baseline the
-#: harness reports (not asserts) the delegated variant against.
+#: harness reports (not asserts) the batched variant against.
 PR2_BASELINE_SHA = "e62b8d3"
 
-#: (engine, wsaf_engine) pipeline variants, slowest first.
-VARIANTS = (
-    ("scalar", "scalar"),
-    ("batched", "scalar"),
-    ("batched", "batched"),
-)
-DELEGATED = ("batched", "batched")
-
-
-def _variant_label(engine: str, wsaf_engine: str) -> str:
-    if engine == "scalar":
-        return "scalar"
-    if wsaf_engine == "scalar":
-        return "batched/wsaf-scalar"
-    return "delegated"
+#: Engine variants, slowest first; the flat table form follows the engine.
+VARIANTS = ("scalar", "batched")
 
 
 def _environment() -> "dict":
@@ -231,10 +208,8 @@ def _git_sha() -> str:
         return "unknown"
 
 
-def _config(engine: str, wsaf_engine: str) -> InstaMeasureConfig:
-    return InstaMeasureConfig(
-        seed=1, engine=engine, wsaf_engine=wsaf_engine, chunk_size=CHUNK_SIZE
-    )
+def _config(engine: str) -> InstaMeasureConfig:
+    return InstaMeasureConfig(seed=1, engine=engine, chunk_size=CHUNK_SIZE)
 
 
 def _timed_run(config: InstaMeasureConfig, source) -> "tuple[float, int]":
@@ -259,7 +234,7 @@ def _capture_event_batches(source, config=None) -> "list[tuple]":
     delegation batches (keys, estimates, stamps, packed tuples) are recorded
     while the run proceeds normally.
     """
-    engine = InstaMeasure(config or _config(*DELEGATED))
+    engine = InstaMeasure(config or _config("batched"))
     real = engine.wsaf.accumulate_batch_arrays
     batches: "list[tuple]" = []
 
@@ -282,8 +257,7 @@ def _wsaf_stage_times(batches, entries: int, rounds: int) -> "tuple[float, float
         gc.collect()
         start = time.perf_counter()
         for keys, pkts, byts, stamps, tuples in batches:
-            # The PR-1 engine's exact staging: list-of-tuples into the
-            # scalar probe loop.
+            # List-of-tuples staging into the scalar probe loop.
             table.accumulate_batch(
                 list(
                     zip(
@@ -440,7 +414,7 @@ def run_benchmark(
     ``record`` is false (smoke runs must not clobber full-trace rows).
     Returns ``{"rows": [...], "report": str, "speedups": {...}}``.
     """
-    configs = {variant: _config(*variant) for variant in VARIANTS}
+    configs = {variant: _config(variant) for variant in VARIANTS}
     # One shared chunk source: slicing happens here, outside any timed
     # region, and the same Chunk objects are replayed every round so the
     # per-(chunk, stream-offset) kernel caches stay warm across rounds.
@@ -478,18 +452,17 @@ def run_benchmark(
             "delegated_events": num_events,
         }
 
-    stages = {DELEGATED: stage_breakdown(DELEGATED)}
+    stages = {"batched": stage_breakdown("batched")}
 
     sha = _git_sha()
     now = time.time()
     environment = _environment()
     rows = []
     for variant in VARIANTS:
-        engine, wsaf_engine = variant
         row = {
             "git_sha": sha,
-            "engine": engine,
-            "wsaf_engine": wsaf_engine,
+            "engine": variant,
+            "wsaf_engine": variant,
             "backend": "flat",
             "pps": packets[variant] / best[variant],
             "seconds": best[variant],
@@ -505,20 +478,18 @@ def run_benchmark(
         _append_report(rows)
 
     scalar_pps = rows[0]["pps"]
-    pr1_pps = rows[1]["pps"]
-    delegated_row = rows[VARIANTS.index(DELEGATED)]
-    st = stages[DELEGATED]
+    batched_row = rows[1]
+    st = stages["batched"]
 
     lines = [f"commit {sha}  ({num_events} delegated WSAF events)"]
     lines.append("variant              pps          speedup")
     for row in rows:
-        label = _variant_label(row["engine"], row["wsaf_engine"])
         lines.append(
-            f"{label:<20} {row['pps']:>12,.0f} "
+            f"{row['engine']:<20} {row['pps']:>12,.0f} "
             f"{row['pps'] / scalar_pps:>7.2f}x"
         )
     lines.append(
-        "stages (delegated): "
+        "stages (batched): "
         f"regulator {st['regulator_s'] * 1e3:.1f} ms, "
         f"wsaf {wsaf_batched_s * 1e3:.1f} ms "
         f"(scalar {wsaf_scalar_s * 1e3:.1f} ms, "
@@ -528,12 +499,12 @@ def run_benchmark(
         f"{st['hash_speedup']:.2f}x)"
     )
     baseline = _baseline_row("loop")
-    if baseline is not None and baseline.get("packets") != delegated_row["packets"]:
+    if baseline is not None and baseline.get("packets") != batched_row["packets"]:
         baseline = None  # different trace (smoke mode) — not comparable
     if baseline is not None and baseline.get("seconds"):
         lines.append(
-            f"delegated vs PR-2 baseline ({PR2_BASELINE_SHA}): "
-            f"e2e {baseline['seconds'] / delegated_row['seconds']:.2f}x"
+            f"batched vs PR-2 baseline ({PR2_BASELINE_SHA}): "
+            f"e2e {baseline['seconds'] / batched_row['seconds']:.2f}x"
         )
     lines.append(f"report: {OUTPUT_PATH.name}")
 
@@ -541,8 +512,7 @@ def run_benchmark(
         "rows": rows,
         "report": "\n".join(lines),
         "speedups": {
-            "batched_vs_scalar": pr1_pps / scalar_pps,
-            "delegated_vs_batched": delegated_row["pps"] / pr1_pps,
+            "batched_vs_scalar": batched_row["pps"] / scalar_pps,
             "wsaf_stage": st["wsaf_stage_speedup"],
         },
     }
@@ -556,7 +526,7 @@ def run_sharded_benchmark(
 ) -> "dict":
     """Measure streaming sharded ingestion at each shard count.
 
-    Uses the fastest variant (delegated) throughout.  Per shard
+    Uses the fastest variant (batched) throughout.  Per shard
     count, times the fork-parallel pool (where the platform can fork)
     and the bit-identical in-process mode, best-of ``rounds`` each, and
     checks the merged estimates against a single unsharded run before
@@ -567,7 +537,7 @@ def run_sharded_benchmark(
     / ``ingest_s`` / ``merge_s`` stage breakdown of the best round.
     Returns ``{"rows", "report", "scaling", "inproc_overhead"}``.
     """
-    config = _config(*DELEGATED)
+    config = _config("batched")
     source = TraceChunkSource(trace, chunk_size=CHUNK_SIZE)
     use_fork = _fork_available()
 
@@ -712,35 +682,37 @@ def _assert_sharded_bars(result: "dict") -> None:
         )
 
 
-def _backend_config(backend: str, wsaf_engine: str) -> InstaMeasureConfig:
+def _backend_config(backend: str) -> InstaMeasureConfig:
     return InstaMeasureConfig(
-        seed=1,
-        engine="batched",
-        wsaf_engine=wsaf_engine,
-        chunk_size=CHUNK_SIZE,
-        wsaf_backend=backend,
+        seed=1, engine="batched", chunk_size=CHUNK_SIZE, wsaf_backend=backend
     )
 
 
 def _backend_stage_times(
     batches, config: InstaMeasureConfig, rounds: int
 ) -> "tuple[float, float]":
-    """Best-of replay seconds for one backend: (scalar table, batched).
+    """Best-of replay seconds for the tiered backend: (scalar, batched).
 
-    Replays the captured delegated stream against fresh backend tables
-    built through the storage seam — ``wsaf_engine="scalar"`` fed via
-    the per-event ``accumulate_batch`` facade (the path the scalar
-    engine uses), ``"batched"`` via ``accumulate_batch_arrays``.
+    Replays the captured delegated stream against fresh tiered tables
+    over each backing-table form — the scalar one fed via the per-event
+    ``accumulate_batch`` facade, the batch-probed one via
+    ``accumulate_batch_arrays``.
     """
-    from dataclasses import replace
 
-    from repro.core.wsaf_storage import build_wsaf_storage
+    def fresh(table_engine: str) -> TieredWSAFTable:
+        return TieredWSAFTable(
+            num_entries=config.wsaf_entries,
+            probe_limit=config.probe_limit,
+            gc_timeout=config.gc_timeout,
+            eviction_policy=config.eviction_policy,
+            cache_entries=config.tier_cache_entries,
+            tier_interval=config.tier_interval,
+            table_engine=table_engine,
+        )
 
-    scalar_config = replace(config, wsaf_engine="scalar")
-    batched_config = replace(config, wsaf_engine="batched")
     best_scalar = best_batched = float("inf")
     for _ in range(rounds):
-        table = build_wsaf_storage(scalar_config)
+        table = fresh("scalar")
         gc.collect()
         start = time.perf_counter()
         for keys, pkts, byts, stamps, tuples in batches:
@@ -757,7 +729,7 @@ def _backend_stage_times(
             )
         best_scalar = min(best_scalar, time.perf_counter() - start)
 
-        batched = build_wsaf_storage(batched_config)
+        batched = fresh("batched")
         gc.collect()
         start = time.perf_counter()
         for keys, pkts, byts, stamps, tuples in batches:
@@ -777,25 +749,24 @@ def run_backend_benchmark(
     record: bool = True,
     backends: "tuple[str, ...]" = BACKENDS,
 ) -> "dict":
-    """Measure the non-flat backends under the scalar vs batched engine.
+    """Measure the non-flat backends' batched pipeline and WSAF stage.
 
-    For each backend in :data:`BACKENDS`:
+    For each backend in ``backends``:
 
-    * End-to-end: the batched pipeline with ``wsaf_engine=
-      "scalar"`` vs ``"batched"``, every other knob shared, best of
-      ``rounds``.  The warm-up pass doubles as the bit-identity check —
-      both engines must produce identical estimates on the full trace
-      before any timing is trusted.
+    * End-to-end: the batched pipeline, best of ``rounds``.  A scalar
+      engine run first checks bit-identity — both engines must produce
+      identical estimates on the full trace before any timing is
+      trusted.
     * WSAF stage: the backend's real delegated event stream (captured
-      from a live run) replayed against fresh tables both ways.  This is
-      where the compounding claim lives — the regulator admits only a
-      small fraction of packets to the WSAF, so the backend engine can
-      move the stage pps by far more than the end-to-end pps.
+      from a live run) replayed against fresh tables over each backing
+      form.  This is where the compounding claim lives — the regulator
+      admits only a small fraction of packets to the WSAF, so the table
+      form can move the stage pps by far more than the end-to-end pps.
 
-    One row per ``(backend, wsaf_engine)`` joins BENCH_throughput.json
-    (``record=True``); the batched row carries the stage breakdown.
-    Returns ``{"rows", "report", "speedups"}`` with
-    ``speedups[backend]`` = stage scalar seconds / batched seconds.
+    One row per backend joins BENCH_throughput.json (``record=True``),
+    carrying the stage breakdown.  Returns ``{"rows", "report",
+    "speedups"}`` with ``speedups[backend]`` = stage scalar seconds /
+    batched seconds.
     """
     source = TraceChunkSource(trace, chunk_size=CHUNK_SIZE)
     sha = _git_sha()
@@ -803,76 +774,58 @@ def run_backend_benchmark(
     environment = _environment()
     rows = []
     speedups: "dict[str, float]" = {}
-    lines = [f"commit {sha}  non-flat backends, scalar vs batched engine"]
-    lines.append(
-        "backend      engine      e2e pps      wsaf stage    stage speedup"
-    )
+    lines = [f"commit {sha}  non-flat backends, batched engine"]
+    lines.append("backend      e2e pps      wsaf stage    stage speedup")
     for backend in backends:
-        configs = {
-            engine: _backend_config(backend, engine)
-            for engine in ("scalar", "batched")
-        }
-        estimates = {}
-        for engine, config in configs.items():
-            warm = InstaMeasure(config)
-            Pipeline(warm).run(source)
-            estimates[engine] = warm.estimates()
-        assert estimates["scalar"] == estimates["batched"], (
+        config = _backend_config(backend)
+        reference = InstaMeasure(replace(config, engine="scalar"))
+        Pipeline(reference).run(source)
+        warm = InstaMeasure(config)
+        Pipeline(warm).run(source)
+        assert warm.estimates() == reference.estimates(), (
             f"{backend}: batched-engine estimates diverged from the "
             "scalar engine on the bench trace"
         )
 
-        batches = _capture_event_batches(source, configs["batched"])
+        batches = _capture_event_batches(source, config)
         num_events = sum(batch[0].size for batch in batches)
         stage_scalar_s, stage_batched_s = _backend_stage_times(
-            batches, configs["batched"], rounds
+            batches, config, rounds
         )
         speedups[backend] = stage_scalar_s / stage_batched_s
-        stage_seconds = {
-            "scalar": stage_scalar_s,
-            "batched": stage_batched_s,
-        }
 
-        best = {engine: float("inf") for engine in configs}
-        packets = {engine: 0 for engine in configs}
+        best = float("inf")
+        packets = 0
         for _ in range(rounds):
-            for engine, config in configs.items():
-                elapsed, count = _timed_run(config, source)
-                best[engine] = min(best[engine], elapsed)
-                packets[engine] = count
-        for engine in ("scalar", "batched"):
-            pps = packets[engine] / best[engine]
-            stage_s = stage_seconds[engine]
-            rows.append(
-                {
-                    "git_sha": sha,
-                    "engine": "batched",
-                    "wsaf_engine": engine,
-                    "backend": backend,
-                    "pps": pps,
-                    "seconds": best[engine],
-                    "packets": packets[engine],
-                    "chunk_size": CHUNK_SIZE,
-                    "timestamp": now,
-                    **environment,
-                    "stages": {
-                        "wsaf_scalar_s": stage_scalar_s,
-                        "wsaf_batched_s": stage_batched_s,
-                        "wsaf_stage_speedup": speedups[backend],
-                        "wsaf_stage_pps": num_events / stage_s,
-                        "delegated_events": num_events,
-                    },
-                }
-            )
-            ratio = (
-                f"{speedups[backend]:>9.2f}x"
-                if engine == "batched"
-                else "     1.00x"
-            )
-            lines.append(
-                f"{backend:<12} {engine:<10} {pps:>12,.0f} "
-                f"{num_events / stage_s:>12,.0f} {ratio}"
-            )
+            elapsed, packets = _timed_run(config, source)
+            best = min(best, elapsed)
+        pps = packets / best
+        rows.append(
+            {
+                "git_sha": sha,
+                "engine": "batched",
+                "wsaf_engine": "batched",
+                "backend": backend,
+                "pps": pps,
+                "seconds": best,
+                "packets": packets,
+                "chunk_size": CHUNK_SIZE,
+                "timestamp": now,
+                **environment,
+                "stages": {
+                    "wsaf_scalar_s": stage_scalar_s,
+                    "wsaf_batched_s": stage_batched_s,
+                    "wsaf_stage_speedup": speedups[backend],
+                    "wsaf_stage_pps": num_events / stage_batched_s,
+                    "delegated_events": num_events,
+                },
+            }
+        )
+        lines.append(
+            f"{backend:<12} {pps:>12,.0f} "
+            f"{num_events / stage_batched_s:>12,.0f} "
+            f"{speedups[backend]:>9.2f}x"
+        )
     if record:
         _append_report(rows)
     lines.append(f"report: {OUTPUT_PATH.name}")
@@ -889,7 +842,7 @@ def _assert_backend_bars(result: "dict") -> None:
 
 
 def test_backend_throughput(caida_trace, write_report):
-    """Non-flat backend pps, scalar vs batched; appends the history."""
+    """Non-flat backend pps and WSAF stage; appends the history."""
     result = run_backend_benchmark(caida_trace)
     write_report("bench_backend_throughput", result["report"])
     for row in result["rows"]:
@@ -907,7 +860,7 @@ def test_sharded_scaling(caida_trace, write_report):
 
 
 def test_throughput_regression(caida_trace, write_report):
-    """Three-variant pps + stage breakdown; appends BENCH_throughput.json."""
+    """Two-variant pps + stage breakdown; appends BENCH_throughput.json."""
     result = run_benchmark(caida_trace, ROUNDS, STAGE_ROUNDS)
     write_report("bench_throughput", result["report"])
 
@@ -917,10 +870,6 @@ def test_throughput_regression(caida_trace, write_report):
     assert speedups["batched_vs_scalar"] >= MIN_SPEEDUP, (
         f"batched engine is only {speedups['batched_vs_scalar']:.2f}x scalar "
         f"(regression bar: {MIN_SPEEDUP}x)"
-    )
-    assert speedups["delegated_vs_batched"] >= MIN_DELEGATED_SPEEDUP, (
-        f"delegated engine is only {speedups['delegated_vs_batched']:.2f}x "
-        f"the PR-1 batched engine (regression bar: {MIN_DELEGATED_SPEEDUP}x)"
     )
     assert speedups["wsaf_stage"] >= MIN_WSAF_STAGE_SPEEDUP, (
         f"batch-probed WSAF stage is only {speedups['wsaf_stage']:.2f}x the "
@@ -948,9 +897,9 @@ def main() -> None:
     parser.add_argument(
         "--backends",
         action="store_true",
-        help="run the non-flat backend benchmark (tiered / icebuckets, "
-        "scalar vs batched engine); with --quick, exactness is enforced "
-        "and timing only against the no-regression floor",
+        help="run the non-flat backend benchmark (tiered, scalar vs "
+        "batch-probed backing table); with --quick, exactness is "
+        "enforced and timing only against the no-collapse floor",
     )
     args = parser.parse_args()
 
@@ -975,9 +924,8 @@ def main() -> None:
                         f"note: batched {backend} stage at {ratio:.2f}x is "
                         f"under the {target}x target — accepted above the "
                         "no-collapse floor (tiny smoke stream: planning "
-                        "and overflow-screen overhead dominate a few "
-                        "hundred events; the bar is enforced by the "
-                        "full-trace bench)"
+                        "overhead dominates a few hundred events; the bar "
+                        "is enforced by the full-trace bench)"
                     )
             return
         if args.shards is not None:

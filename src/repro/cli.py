@@ -186,10 +186,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument(
         "--wsaf-backend",
-        choices=["tiered", "icebuckets"],
+        choices=["tiered"],
         default=None,
         help="run the non-flat backend benchmark for this WSAF backend "
-        "instead (scalar vs batched engine, measured WSAF stage)",
+        "instead (batched pipeline, scalar vs batch-probed WSAF stage)",
     )
 
     serve = commands.add_parser(
@@ -644,11 +644,10 @@ def _print_shard_stage_table(rows: "list[dict]") -> None:
 
 
 def _print_backend_stage_table(rows: "list[dict]") -> None:
-    """Backend × engine e2e pps and measured WSAF-stage times."""
+    """Per-backend e2e pps and measured WSAF-stage times."""
     table_rows = [
         [
             row["backend"],
-            row["wsaf_engine"],
             f"{row['pps']:,.0f}",
             f"{row['stages']['wsaf_scalar_s'] * 1e3:.1f}",
             f"{row['stages']['wsaf_batched_s'] * 1e3:.1f}",
@@ -659,7 +658,6 @@ def _print_backend_stage_table(rows: "list[dict]") -> None:
     print_table(
         [
             "backend",
-            "wsaf engine",
             "e2e pps",
             "stage scalar ms",
             "stage batched ms",

@@ -53,40 +53,6 @@ def packed_five_tuples(flows: FlowTable) -> "list[int]":
 #: Valid ``InstaMeasureConfig.engine`` values.
 ENGINE_CHOICES = ("auto", "batched", "scalar")
 
-#: Valid ``InstaMeasureConfig.wsaf_engine`` values.
-WSAF_ENGINE_CHOICES = ("auto", "batched", "scalar")
-
-def resolved_wsaf_engine(config: "InstaMeasureConfig") -> str:
-    """Which WSAF column layout ``config`` gets: "batched" or "scalar".
-
-    ``"auto"`` picks the array-backed :class:`~repro.kernels.wsaf_batched.
-    BatchedWSAFTable` whenever the trace path itself batches (the batched
-    regulator kernel delegates whole update batches, which is where cohort
-    probing pays); a scalar trace path keeps the scalar table, whose
-    per-event ``accumulate`` is faster on plain Python lists.  The choice
-    is backend-aware: every storage backend has both a scalar and a
-    batch-probed form (see :mod:`repro.core.wsaf_storage`), bit-identical
-    by contract, but their measured throughput differs.  Flat and tiered
-    batch-probe faster than they accumulate per-event; ICE-Buckets does
-    not — its quantized add chains are order-serial (each add re-rounds
-    at the bucket scale), so the batched form replays most cohorts
-    through scalar arithmetic anyway and the cohort machinery is pure
-    overhead.  ``"auto"`` therefore keeps the scalar table for
-    ``wsaf_backend="icebuckets"``; forcing ``wsaf_engine="batched"``
-    still composes (bit-identical, pinned by goldens), it is just
-    slower on this simulator.
-    """
-    if config.wsaf_engine in ("batched", "scalar"):
-        return config.wsaf_engine
-    if config.engine == "scalar":
-        return "scalar"
-    if config.wsaf_backend == "icebuckets":
-        return "scalar"
-    if config.num_layers == 2 and config.vector_bits <= 8:
-        return "batched"
-    return "scalar"
-
-
 def build_wsaf_table(
     config: "InstaMeasureConfig",
     accountant: "AccessAccountant | None" = None,
@@ -95,8 +61,7 @@ def build_wsaf_table(
 
     Delegates to :func:`repro.core.wsaf_storage.build_wsaf_storage` — the
     backend seam: ``wsaf_backend`` picks flat/tiered/icebuckets storage,
-    and for flat the ``wsaf_engine`` knob still picks scalar vs
-    batch-probed columns.
+    and the trace engine picks scalar vs batch-probed columns.
     """
     from repro.core.wsaf_storage import build_wsaf_storage
 
@@ -127,21 +92,14 @@ class InstaMeasureConfig:
             Python loop.  All engines are bit-identical.
         chunk_size: packets per batched-kernel chunk (bounds the working
             set of the vectorized stage; irrelevant to the scalar path).
-        wsaf_engine: WSAF backing store — ``"auto"`` pairs the batch-probed
-            array table with the batched trace engine for the flat and
-            tiered backends (and keeps the scalar table otherwise,
-            including for ``wsaf_backend="icebuckets"``, whose serial
-            quantized adds measure faster scalar), ``"batched"`` /
-            ``"scalar"`` force one.  Both stores are state-identical;
-            only throughput differs.
         wsaf_backend: working-set storage algorithm — ``"flat"`` (the
             paper's table, bit-identical to pre-backend behaviour),
             ``"tiered"`` (hot top-K SRAM cache in front of the DRAM
             table; see :mod:`repro.core.wsaf_tiered`), or
             ``"icebuckets"`` (bucket-scaled compressed counters; see
-            :mod:`repro.core.wsaf_icebuckets`).  Every backend composes
-            with either ``wsaf_engine`` (batched forms are bit-identical
-            to scalar ones; only throughput differs).
+            :mod:`repro.core.wsaf_icebuckets`).  Flat and tiered use
+            the batch-probed table form whenever the trace path batches;
+            both forms are bit-identical, only throughput differs.
         tier_cache_entries / tier_interval: tiered backend geometry —
             hot-cache capacity and accumulates between promote/demote
             maintenance ticks.
@@ -162,7 +120,6 @@ class InstaMeasureConfig:
     seed: int = 0
     engine: str = "auto"
     chunk_size: int = 1 << 20
-    wsaf_engine: str = "auto"
     wsaf_backend: str = "flat"
     tier_cache_entries: int = 256
     tier_interval: int = 1024
@@ -180,11 +137,6 @@ class InstaMeasureConfig:
         if self.engine not in ENGINE_CHOICES:
             raise ConfigurationError(
                 f"unknown engine {self.engine!r}; known: {ENGINE_CHOICES}"
-            )
-        if self.wsaf_engine not in WSAF_ENGINE_CHOICES:
-            raise ConfigurationError(
-                f"unknown wsaf_engine {self.wsaf_engine!r}; "
-                f"known: {WSAF_ENGINE_CHOICES}"
             )
         if self.wsaf_entries < 2:
             raise ConfigurationError(
@@ -569,7 +521,6 @@ class InstaMeasure:
                     "with vector_bits <= 8; use engine='auto' to fall back"
                 )
         self.wsaf = build_wsaf_table(self.config, accountant)
-        self.wsaf_engine = resolved_wsaf_engine(self.config)
         self._rng = random.Random(self.config.seed ^ 0x5EED)
         self._stream: "_StreamState | None" = None
 
@@ -790,7 +741,6 @@ class InstaMeasure:
             self,
             trace,
             on_accumulate=on_accumulate,
-            delegate=self.wsaf_engine == "batched",
             bits=bits,
             stream_tag=stream_tag,
         )

@@ -19,12 +19,10 @@ columns always hold the *dequantized* values (``q · 2^scale`` is exact in
 float64), so lookups, eviction ordering, estimates, and snapshots all
 read consistent quantized state with no extra translation.
 
-The quantization logic lives in :class:`_IceMixin`, which is storage-
-agnostic: every operation is element-wise over ``self._packets`` /
-``self._qpackets`` etc., so it composes with the scalar list columns
-here *and* with the NumPy columns of :class:`~repro.kernels.wsaf_batched.
-BatchedWSAFTable` (see :class:`~repro.kernels.wsaf_batched.
-BatchedIceBucketsWSAFTable`, the batch-probed variant).
+There is no batch-probed form: every quantized add re-rounds at the
+bucket's shared scale, so add chains are order-serial and the batched
+regulator kernel feeds this table through the inherited
+:meth:`~repro.core.wsaf.WSAFTable.accumulate_batch`.
 
 Snapshots carry the per-bucket scales in an ``ice`` section.  Restoring
 with matching bucket geometry is **bit-exact**: the integer counters
@@ -41,15 +39,12 @@ from repro.memmodel import AccessAccountant
 
 from repro.core.wsaf import ENTRY_BYTES, WSAFTable
 
+#: Largest bucket scale exponent a float64 counter can represent.
+_MAX_SCALE = 1023
 
-class _IceMixin:
-    """Bucket-scaled quantized counters over any WSAF column storage.
 
-    Mixes in front of a :class:`WSAFTable` (or a subclass with array
-    columns): ``super()`` calls resolve to the underlying table, and all
-    quantization state is kept element-wise so it works identically on
-    list and NumPy columns.  The quantized planes are created through
-    :meth:`_new_qplane`, which array-backed subclasses override.
+class IceBucketsWSAFTable(WSAFTable):
+    """A :class:`WSAFTable` whose counters are bucket-scaled integers.
 
     Args:
         bucket_slots: contiguous table slots sharing one scale exponent.
@@ -88,15 +83,11 @@ class _IceMixin:
         self._counter_max = (1 << counter_bits) - 1
         #: Quantized counters, parallel to the inherited float columns
         #: (which always hold the dequantized q·2^scale values).
-        self._qpackets = self._new_qplane()
-        self._qbytes = self._new_qplane()
+        self._qpackets = [0] * num_entries
+        self._qbytes = [0] * num_entries
         self._scale_packets = [0] * self.num_buckets
         self._scale_bytes = [0] * self.num_buckets
         self.upscales = 0
-
-    def _new_qplane(self):
-        """A zeroed quantized-counter plane matching the column storage."""
-        return [0] * self.num_entries
 
     # -- quantized stores ----------------------------------------------------
 
@@ -298,21 +289,19 @@ class _IceMixin:
         if exact:
             self._scale_packets = ice.scale_packets.astype(int).tolist()
             self._scale_bytes = ice.scale_bytes.astype(int).tolist()
+            scales = self._scale_packets + self._scale_bytes
+            if min(scales) < 0 or max(scales) > _MAX_SCALE:
+                raise ValueError(
+                    "ice section carries a scale exponent outside "
+                    f"[0, {_MAX_SCALE}]"
+                )
             self.upscales = ice.upscales
         else:
             self._scale_packets = [0] * self.num_buckets
             self._scale_bytes = [0] * self.num_buckets
             self.upscales = 0
-        self._qpackets = self._new_qplane()
-        self._qbytes = self._new_qplane()
+        self._qpackets = [0] * self.num_entries
+        self._qbytes = [0] * self.num_entries
         for slot in sorted(self._occupied_slots):
             self._store(slot, self._packets[slot], self._bytes[slot])
 
-
-class IceBucketsWSAFTable(_IceMixin, WSAFTable):
-    """A :class:`WSAFTable` whose counters are bucket-scaled integers.
-
-    The scalar (list-column) composition of :class:`_IceMixin`; the
-    batch-probed variant is :class:`~repro.kernels.wsaf_batched.
-    BatchedIceBucketsWSAFTable`.
-    """

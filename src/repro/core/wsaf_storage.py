@@ -7,9 +7,9 @@ seam is a *backend*, selected by ``InstaMeasureConfig.wsaf_backend``:
 
 ``flat``
     The paper's table as-is — the scalar :class:`~repro.core.wsaf.
-    WSAFTable` or the batch-probed :class:`~repro.kernels.wsaf_batched.
-    BatchedWSAFTable`, chosen by the ``wsaf_engine`` knob exactly as
-    before.  Bit-identical to the pre-backend behaviour by contract.
+    WSAFTable`, or the batch-probed :class:`~repro.kernels.wsaf_batched.
+    BatchedWSAFTable` when the trace path batches.  Bit-identical to the
+    pre-backend behaviour by contract.
 
 ``tiered``
     A PriMe-style two-tier store (:class:`~repro.core.wsaf_tiered.
@@ -26,12 +26,13 @@ seam is a *backend*, selected by ``InstaMeasureConfig.wsaf_backend``:
     per-bucket shared scale exponents (upscale-on-overflow), trading a
     bounded relative error for a measured counter-memory reduction.
 
-Every backend composes with both WSAF engines: the ``wsaf_engine`` knob
-picks scalar columns or the batch-probed cohort kernel independently of
-the storage algorithm (``tiered`` wraps a batched backing table and
-vectorizes its cache probe; ``icebuckets`` has a batch-probed subclass
-with quantized vectorized adds).  Scalar and batched are bit-identical
-for every backend; only throughput differs.
+The table form follows from the config: ``flat`` and ``tiered`` are
+batch-probed exactly when the trace path batches (``tiered`` then wraps
+a batched backing table and vectorizes its cache probe), and scalar
+otherwise.  ``icebuckets`` is always scalar: its quantized adds re-round
+in order at a shared bucket scale, so there is nothing to vectorize.
+The batched regulator kernel feeds either form, and both are
+bit-identical; only throughput differs.
 """
 
 from __future__ import annotations
@@ -119,18 +120,37 @@ def default_technologies() -> "dict[str, MemoryTechnology]":
     return {"wsaf.cache": SRAM}
 
 
+def _batch_probed(config) -> bool:
+    """Whether ``config`` gets the batch-probed WSAF table form.
+
+    The array-backed :class:`~repro.kernels.wsaf_batched.BatchedWSAFTable`
+    pays off only where the trace path itself batches: the batched
+    regulator kernel hands over whole update batches, which is where
+    cohort probing wins.  A scalar trace path keeps the scalar table,
+    whose per-event ``accumulate`` is faster on plain Python lists.  ICE
+    Buckets always keeps the scalar table: every quantized add re-rounds
+    at its bucket's shared scale, so its add chains are order-serial and
+    have nothing to vectorize.  Both forms are state-identical; only
+    throughput differs.
+    """
+    return (
+        config.engine != "scalar"
+        and config.wsaf_backend in ("flat", "tiered")
+        and config.num_layers == 2
+        and config.vector_bits <= 8
+    )
+
+
 def build_wsaf_storage(config, accountant: "AccessAccountant | None" = None):
     """The WSAF backend ``config`` asks for, wired to ``accountant``.
 
-    ``wsaf_backend`` picks the storage algorithm; for ``flat``, the
-    existing ``wsaf_engine`` knob still picks scalar vs batch-probed
-    columns (resolved exactly as before this seam existed).
+    ``wsaf_backend`` picks the storage algorithm; the trace engine picks
+    scalar vs batch-probed columns for ``flat`` and ``tiered``.
     """
-    from repro.core.instameasure import resolved_wsaf_engine
     from repro.core.wsaf import WSAFTable
 
     backend = getattr(config, "wsaf_backend", "flat")
-    engine = resolved_wsaf_engine(config)
+    batched = _batch_probed(config)
     if backend == "tiered":
         from repro.core.wsaf_tiered import TieredWSAFTable
 
@@ -142,18 +162,12 @@ def build_wsaf_storage(config, accountant: "AccessAccountant | None" = None):
             eviction_policy=config.eviction_policy,
             cache_entries=config.tier_cache_entries,
             tier_interval=config.tier_interval,
-            table_engine=engine,
+            table_engine="batched" if batched else "scalar",
         )
     if backend == "icebuckets":
-        if engine == "batched":
-            from repro.kernels.wsaf_batched import BatchedIceBucketsWSAFTable
+        from repro.core.wsaf_icebuckets import IceBucketsWSAFTable
 
-            ice_class: type = BatchedIceBucketsWSAFTable
-        else:
-            from repro.core.wsaf_icebuckets import IceBucketsWSAFTable
-
-            ice_class = IceBucketsWSAFTable
-        return ice_class(
+        return IceBucketsWSAFTable(
             num_entries=config.wsaf_entries,
             probe_limit=config.probe_limit,
             gc_timeout=config.gc_timeout,
@@ -162,7 +176,7 @@ def build_wsaf_storage(config, accountant: "AccessAccountant | None" = None):
             bucket_slots=config.ice_bucket_slots,
             counter_bits=config.ice_counter_bits,
         )
-    if engine == "batched":
+    if batched:
         from repro.kernels.wsaf_batched import BatchedWSAFTable
 
         table_class: "type[WSAFTable]" = BatchedWSAFTable

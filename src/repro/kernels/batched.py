@@ -13,15 +13,17 @@ loop, built on two structural facts about the 2-layer FlowRegulator:
 * **FSM compilation.**  A counting window holds one of ``2**vector_bits``
   states, so layer transitions compile into small lookup tables
   (:mod:`repro.kernels.luts`) indexed by interned byte values, and the hot
-  loop advances *two* packets per iteration through the pair table.
+  loop advances two or four packets per lookup through the pair or quad
+  table.
 
 Pipeline per chunk: vectorized gathers (placement, pre-drawn bit choices)
-→ stable sort by word → per-stretch saturation screen
-(``np.bitwise_or.reduceat`` of the candidate bits plus a popcount LUT:
-a stretch whose OR-accumulated candidate state cannot reach the
-saturation threshold commits in O(1)) → byte-pair LUT replay of the
-contested stretches → insertion events applied to the WSAF in packet
-order through :meth:`WSAFTable.accumulate_batch`.
+→ stable sort by word → word-level saturation screen (``np.bitwise_or.
+reduceat`` of the candidate bits plus a popcount: a word whose
+OR-accumulated candidate state cannot saturate any of its windows commits
+in O(1)) → vectorized screening rounds over the remaining stretches →
+quad- or pair-LUT replay of the contested stretches → insertion events
+handed to the WSAF once per chunk, in packet order (see
+:func:`process_trace_batched`).
 
 Randomness is drawn exactly as the scalar path draws it (same generator,
 same sizes, same order), so every sketch word, counter, and WSAF record
@@ -40,7 +42,7 @@ from repro.kernels.luts import SENTINEL, kernel_tables, quad_tables
 #: Trace attribute under which per-chunk sort layouts are cached.
 _LAYOUT_ATTR = "_batched_layout"
 
-#: Trace attribute holding the delegated path's per-chunk derived streams.
+#: Trace attribute holding the per-chunk derived bit streams.
 _STREAM_ATTR = "_delegated_streams"
 
 #: Bumped when the layout dict layout changes, to invalidate stale caches.
@@ -53,8 +55,8 @@ DEFAULT_CHUNK_SIZE = 1 << 20
 def clear_kernel_caches(trace) -> None:
     """Drop every kernel-derived cache pinned on ``trace``.
 
-    The chunk layouts (:data:`_LAYOUT_ATTR`) and the delegated path's
-    derived streams (:data:`_STREAM_ATTR`) together hold several NumPy
+    The chunk layouts (:data:`_LAYOUT_ATTR`) and the derived bit streams
+    (:data:`_STREAM_ATTR`) together hold several NumPy
     arrays per chunk — on a million-packet trace tens of megabytes that
     would otherwise live as long as the trace object does.  Call this when a trace outlives its
     runs (the multi-core manager does, for its per-worker sub-traces).
@@ -142,8 +144,8 @@ def _chunk_layouts(trace, l1, chunk_size: int) -> "list[dict]":
         ends_arr = np.append(reduce_starts[1:], span)
         stretch_words = sorted_words[reduce_starts].astype(np.int64)
         # Stretches sorted by (word, offset) group same-word stretches into
-        # contiguous *word runs* — the unit of the delegated path's
-        # vectorized word-level screen.
+        # contiguous *word runs* — the unit of the vectorized word-level
+        # screen.
         if len(stretch_words) > 1:
             word_run_starts = np.flatnonzero(
                 np.concatenate(([True], stretch_words[1:] != stretch_words[:-1]))
@@ -163,9 +165,6 @@ def _chunk_layouts(trace, l1, chunk_size: int) -> "list[dict]":
                 words=stretch_words.tolist(),
                 offsets=head_offsets.tolist(),
                 offsets_arr=head_offsets.astype(np.uint64),
-                words_arr=stretch_words,
-                starts_arr=reduce_starts,
-                ends_arr=ends_arr,
                 word_run_starts=word_run_starts,
                 word_run_lengths=word_run_lengths,
                 word_run_heads=stretch_words[word_run_starts],
@@ -173,312 +172,6 @@ def _chunk_layouts(trace, l1, chunk_size: int) -> "list[dict]":
         )
     setattr(trace, _LAYOUT_ATTR, (cache_key, layouts))
     return layouts
-
-
-def process_trace_batched(
-    engine,
-    trace,
-    on_accumulate=None,
-    chunk_size: "int | None" = None,
-    delegate: bool = False,
-    bits=None,
-    stream_tag=None,
-) -> BatchCounters:
-    """Process ``trace`` through ``engine``'s regulator and WSAF, batched.
-
-    Mutates the engine's sketch words and WSAF exactly as the scalar loop
-    would and returns the run's :class:`BatchCounters` (the caller folds
-    them into the shared stats/accounting objects).  ``chunk_size``
-    defaults to the engine config's value.
-
-    With ``delegate=True`` (selected when ``wsaf_engine`` resolves to the
-    batch-probed table) the run takes :func:`_process_trace_delegated`:
-    a vectorized word-level saturation screen in front of the per-stretch
-    loop, an 8-packet OR screen inside the FSM replay, and WSAF updates
-    handed over per chunk as one ``accumulate_batch`` call instead of one
-    ``accumulate`` per event.  Both paths are bit-identical to the scalar
-    loop.
-
-    ``bits`` overrides the per-packet random bit draws with externally
-    supplied ``(bits1, bits2)`` uint8 arrays — the streaming ingest path
-    slices one pre-drawn whole-stream pair so chunked runs replay the
-    exact whole-trace randomness.  ``stream_tag`` disambiguates the
-    trace-pinned stream caches when the same trace object is processed
-    with different bit slices (see :func:`_stream_key`).
-    """
-    if delegate:
-        return _process_trace_delegated(
-            engine, trace, on_accumulate, chunk_size, bits, stream_tag
-        )
-    regulator = engine.regulator
-    l1 = regulator.l1
-    vector_bits = l1.vector_bits
-    word_bits = l1.word_bits
-    sat_bits = l1.saturation_bits
-    if chunk_size is None:
-        chunk_size = getattr(engine.config, "chunk_size", DEFAULT_CHUNK_SIZE)
-
-    counters = BatchCounters(
-        packets=trace.num_packets,
-        l2_encoded=[0] * len(regulator.l2),
-        l2_saturated=[0] * len(regulator.l2),
-    )
-    num_packets = trace.num_packets
-    if num_packets == 0:
-        return counters
-
-    tables = kernel_tables(vector_bits, sat_bits)
-    step1 = tables.single
-    step_pair = tables.pair
-    b2_of = tables.b2_of_code
-    popcount = tables.popcount
-    step1_empty = step1[0]
-    sentinel = SENTINEL
-
-    layouts = _chunk_layouts(trace, l1, chunk_size)
-
-    if bits is None:
-        # Identical draws to the scalar path: same generator, sizes, order.
-        rng = np.random.default_rng(engine.config.seed ^ 0xB17)
-        bits1 = rng.integers(0, vector_bits, size=num_packets, dtype=np.uint8)
-        bits2 = rng.integers(0, vector_bits, size=num_packets, dtype=np.uint8)
-    else:
-        bits1, bits2 = bits
-    code_all = bits1 + np.uint8(vector_bits) * bits2
-    bit_values = np.left_shift(np.uint8(1), np.arange(vector_bits, dtype=np.uint8))
-
-    window_masks = l1._window_masks
-    decode = l1._decode_table
-    words = l1.words
-    l2_words = [sketch.words for sketch in regulator.l2]
-    num_banks = len(l2_words)
-    word_mask = (1 << word_bits) - 1
-    window_all = (1 << vector_bits) - 1
-    l2_encoded = counters.l2_encoded
-    l2_saturated = counters.l2_saturated
-
-    flow_ids = trace.flow_ids
-    key64 = trace.flows.key64
-    timestamps = trace.timestamps
-    sizes = trace.sizes
-    packed_tuples = trace.flows.packed_tuples()
-
-    l1_saturations = 0
-    insertions = 0
-
-    for layout in layouts:
-        order = layout["order"]
-
-        sorted_code = code_all[order]
-        stream = sorted_code.tobytes()
-        if vector_bits & (vector_bits - 1) == 0:
-            sorted_b1 = sorted_code & np.uint8(vector_bits - 1)
-        else:
-            sorted_b1 = sorted_code % np.uint8(vector_bits)
-        bit_stream = bit_values[sorted_b1]
-        or_heads = np.bitwise_or.reduceat(bit_stream, layout["reduce_starts"])
-        # Pre-rotate each stretch's OR mask into word position so the
-        # screen-and-commit of an uncontested stretch is a plain OR plus
-        # one masked popcount — no per-stretch window rotation.
-        offsets_arr = layout["offsets_arr"]
-        or64 = or_heads.astype(np.uint64)
-        # Right-shift count masked to the word size: offset 0 then shifts
-        # by 0 (both halves equal the unrotated mask), never by word_bits.
-        inv_shifts = (np.uint64(word_bits) - offsets_arr) & np.uint64(
-            word_bits - 1
-        )
-        rotated_or = (
-            ((or64 << offsets_arr) | (or64 >> inv_shifts))
-            & np.uint64(word_mask)
-        ).tolist()
-        pairs = len(sorted_b1) >> 1
-        pair_stream = (
-            sorted_b1[: 2 * pairs : 2] | (sorted_b1[1 : 2 * pairs : 2] << 3)
-        ).tobytes()
-        # Quad screen: OR of each aligned 4-packet block.  Inside a
-        # contested stretch, a block whose OR cannot push the window to
-        # saturation is committed in one step (OR is monotone, so no
-        # intermediate packet could have saturated either).
-        quads = pairs >> 1
-        pair_or = (
-            bit_stream[: 2 * pairs : 2] | bit_stream[1 : 2 * pairs : 2]
-        )
-        quad_or = (pair_or[: 2 * quads : 2] | pair_or[1 : 2 * quads : 2]).tobytes()
-
-        event_pos: "list[int]" = []
-        event_z: "list[int]" = []
-        event_z2: "list[int]" = []
-
-        for w, off, rot_or, a, b in zip(
-            layout["words"],
-            layout["offsets"],
-            rotated_or,
-            layout["starts"],
-            layout["ends"],
-        ):
-            word = words[w]
-            window = window_masks[off]
-            candidate = word | rot_or
-            if (candidate & window).bit_count() < sat_bits:
-                # Uncontested: the whole stretch cannot saturate; commit
-                # its OR-accumulated window in one write.
-                words[w] = candidate
-                continue
-            # Contested: replay the stretch through the FSM tables.
-            inv = word_bits - off
-            state = ((word >> off) | (word << inv)) & window_all
-            rest = word & ~window
-            l2_states = None
-            if a & 1:  # align the stretch to the packet-pair stream
-                c0 = stream[a]
-                nxt = step1[state][c0 - b2_of[c0] * vector_bits]
-                if nxt < sentinel:
-                    state = nxt
-                else:
-                    z = nxt - sentinel
-                    if l2_states is None:
-                        l2_states = [
-                            ((l2_words[q][w] >> off) | (l2_words[q][w] << inv))
-                            & window_all
-                            for q in range(num_banks)
-                        ]
-                    nxt2 = step1[l2_states[z]][b2_of[c0]]
-                    l2_encoded[z] += 1
-                    if nxt2 >= sentinel:
-                        event_pos.append(a)
-                        event_z.append(z)
-                        event_z2.append(nxt2 - sentinel)
-                        l2_saturated[z] += 1
-                        l2_states[z] = 0
-                    else:
-                        l2_states[z] = nxt2
-                    l1_saturations += 1
-                    state = 0
-                a += 1
-            pair_end = b - ((b - a) & 1)
-            jj = a >> 1
-            end_jj = pair_end >> 1
-            while jj < end_jj:
-                if not jj & 1 and jj + 2 <= end_jj:
-                    candidate = state | quad_or[jj >> 1]
-                    if popcount[candidate] < sat_bits:
-                        state = candidate
-                        jj += 2
-                        continue
-                pb = pair_stream[jj]
-                nxt = step_pair[state][pb]
-                if nxt < sentinel:
-                    state = nxt
-                    jj += 1
-                    continue
-                tag = nxt - sentinel
-                pos = tag >> 3
-                z = tag & 7
-                j = (jj << 1) | pos
-                if l2_states is None:
-                    l2_states = [
-                        ((l2_words[q][w] >> off) | (l2_words[q][w] << inv))
-                        & window_all
-                        for q in range(num_banks)
-                    ]
-                nxt2 = step1[l2_states[z]][b2_of[stream[j]]]
-                l2_encoded[z] += 1
-                if nxt2 >= sentinel:
-                    event_pos.append(j)
-                    event_z.append(z)
-                    event_z2.append(nxt2 - sentinel)
-                    l2_saturated[z] += 1
-                    l2_states[z] = 0
-                else:
-                    l2_states[z] = nxt2
-                l1_saturations += 1
-                if pos:
-                    state = 0
-                else:
-                    # The pair's second packet restarts the recycled window.
-                    nxt = step1_empty[pb >> 3]
-                    if nxt < sentinel:
-                        state = nxt
-                    else:
-                        z = nxt - sentinel
-                        j += 1
-                        nxt2 = step1[l2_states[z]][b2_of[stream[j]]]
-                        l2_encoded[z] += 1
-                        if nxt2 >= sentinel:
-                            event_pos.append(j)
-                            event_z.append(z)
-                            event_z2.append(nxt2 - sentinel)
-                            l2_saturated[z] += 1
-                            l2_states[z] = 0
-                        else:
-                            l2_states[z] = nxt2
-                        l1_saturations += 1
-                        state = 0
-                jj += 1
-            if pair_end < b:  # odd trailing packet
-                c0 = stream[pair_end]
-                nxt = step1[state][c0 - b2_of[c0] * vector_bits]
-                if nxt < sentinel:
-                    state = nxt
-                else:
-                    z = nxt - sentinel
-                    if l2_states is None:
-                        l2_states = [
-                            ((l2_words[q][w] >> off) | (l2_words[q][w] << inv))
-                            & window_all
-                            for q in range(num_banks)
-                        ]
-                    nxt2 = step1[l2_states[z]][b2_of[c0]]
-                    l2_encoded[z] += 1
-                    if nxt2 >= sentinel:
-                        event_pos.append(pair_end)
-                        event_z.append(z)
-                        event_z2.append(nxt2 - sentinel)
-                        l2_saturated[z] += 1
-                        l2_states[z] = 0
-                    else:
-                        l2_states[z] = nxt2
-                    l1_saturations += 1
-                    state = 0
-            words[w] = rest | (((state << off) | (state >> inv)) & word_mask)
-            if l2_states is not None:
-                for q in range(num_banks):
-                    bank_word = l2_words[q][w]
-                    bank_state = l2_states[q]
-                    l2_words[q][w] = (bank_word & ~window) | (
-                        ((bank_state << off) | (bank_state >> inv)) & word_mask
-                    )
-
-        if event_pos:
-            # Restore global coupling: apply this chunk's insertions in
-            # original packet order (chunks are contiguous, so chunk order
-            # composes to trace order).
-            positions = order[np.array(event_pos, dtype=np.int64)]
-            rank = np.argsort(positions, kind="stable")
-            positions = positions[rank]
-            event_flows = flow_ids[positions]
-            z1_sorted = np.array(event_z, dtype=np.int64)[rank]
-            z2_sorted = np.array(event_z2, dtype=np.int64)[rank]
-            accumulate = engine.wsaf.accumulate
-            for flow, key, stamp, size, noise1, noise2 in zip(
-                event_flows.tolist(),
-                key64[event_flows].tolist(),
-                timestamps[positions].tolist(),
-                sizes[positions].tolist(),
-                z1_sorted.tolist(),
-                z2_sorted.tolist(),
-            ):
-                est_pkt = decode[noise1] * decode[noise2]
-                totals = accumulate(
-                    key, est_pkt, est_pkt * size, stamp, packed_tuples[flow]
-                )
-                if on_accumulate is not None:
-                    on_accumulate(key, totals[0], totals[1], stamp)
-            insertions += len(event_pos)
-
-    counters.l1_saturations = l1_saturations
-    counters.insertions = insertions
-    return counters
 
 
 def _stream_key(engine, l1, chunk_size: int, stream_tag=None) -> "tuple":
@@ -542,7 +235,7 @@ def _build_chunk_stream(
     window_masks_np,
     with_quad_list: bool,
 ) -> "tuple":
-    """One chunk's derived streams (see ``_process_trace_delegated``).
+    """One chunk's derived streams (see :func:`process_trace_batched`).
 
     ``with_quad_list`` controls whether the quad replay's boxed-int stream
     is built (only geometries with ``saturation_bits >= 4`` replay quads).
@@ -636,7 +329,7 @@ def _delegate_chunk_events(
         )
 
 
-def _process_trace_delegated(
+def process_trace_batched(
     engine,
     trace,
     on_accumulate=None,
@@ -644,10 +337,21 @@ def _process_trace_delegated(
     bits=None,
     stream_tag=None,
 ) -> BatchCounters:
-    """Second-generation batched pipeline, feeding the batch-probed WSAF.
+    """Process ``trace`` through ``engine``'s regulator and WSAF, batched.
 
-    Four changes over :func:`process_trace_batched`'s original body, each
-    preserving bit-identity with the scalar loop:
+    Mutates the engine's sketch words and WSAF exactly as the scalar loop
+    would and returns the run's :class:`BatchCounters` (the caller folds
+    them into the shared stats/accounting objects).  ``chunk_size``
+    defaults to the engine config's value.
+
+    ``bits`` overrides the per-packet random bit draws with externally
+    supplied ``(bits1, bits2)`` uint8 arrays — the streaming ingest path
+    slices one pre-drawn whole-stream pair so chunked runs replay the
+    exact whole-trace randomness.  ``stream_tag`` disambiguates the
+    trace-pinned stream caches when the same trace object is processed
+    with different bit slices (see :func:`_stream_key`).
+
+    Each stage preserves bit-identity with the scalar loop:
 
     * **Word-level screen.**  Windows of different flows in one word may
       overlap (offsets are arbitrary), so per-stretch outcomes are coupled
@@ -667,25 +371,23 @@ def _process_trace_delegated(
     * **Quad FSM steps.**  With ``saturation_bits >= 4`` a four-packet
       block saturates at most once (a recycled window plus three more
       packets cannot reach the threshold again), so the replay advances
-      four packets per lookup through :func:`~repro.kernels.luts.quad_tables`
-      with an aligned 8-packet OR screen in front.  Narrower thresholds
-      keep the two-packet pair tables.
-    * **Deferred L2 replay.**  A window that saturates from a post-reset
+      four packets per lookup through :func:`~repro.kernels.luts.quad_tables`.
+      Narrower thresholds keep the two-packet pair tables with an aligned
+      4-packet OR screen in front.
+    * **Folded L2 step.**  A window that saturates from a post-reset
       state grows one distinct bit per packet from zero, so it holds
       exactly ``saturation_bits`` set bits at the saturating packet and
       its noise level is the constant ``vector_bits - saturation_bits``.
       Only a stretch's *first* saturation — seeded by the inherited word
       state, which can carry extra bits committed by overlapping offsets
-      — can deviate, and those are rare (tens per trace).  The hot loop
-      therefore just records saturation positions (plus the deviating
-      first-sat noise levels), and a short per-chunk pass afterwards
-      replays the recorded stream through the L2 banks segment by
-      segment in the same per-word order, reproducing the interleaved
-      updates bit for bit.
-    * **Batch delegation.**  Decoded estimates are handed to the
-      batch-probed WSAF per chunk as column arrays
-      (:meth:`~repro.kernels.wsaf_batched.BatchedWSAFTable.accumulate_batch_arrays`)
-      instead of one Python ``accumulate`` call per event.
+      — can deviate, and those are rare (tens per trace).  The quad
+      replay therefore keeps that one L2 bank's window in a local for the
+      whole stretch and steps any other bank in place.
+    * **Batch delegation.**  Decoded estimates are handed to the WSAF
+      once per chunk, in original packet order: as column arrays to a
+      batch-probed table
+      (:meth:`~repro.kernels.wsaf_batched.BatchedWSAFTable.accumulate_batch_arrays`),
+      and through ``accumulate_batch`` to any other table.
     """
     regulator = engine.regulator
     l1 = regulator.l1

@@ -209,7 +209,12 @@ def to_bytes(snapshot: MeasurementSnapshot) -> bytes:
 
 
 def from_bytes(data: bytes) -> MeasurementSnapshot:
-    """Decode :func:`to_bytes` output; reject foreign or damaged input."""
+    """Decode :func:`to_bytes` output; reject foreign or damaged input.
+
+    Damaged input raises :class:`SnapshotError` and nothing else: a header
+    that parses as JSON but lacks a field, or carries a mistyped value or
+    an unknown dtype, is reported as corrupt.
+    """
     if len(data) < len(MAGIC) + 8 or data[: len(MAGIC)] != MAGIC:
         raise SnapshotError("not a measurement snapshot (bad magic)")
     header_len = int.from_bytes(data[len(MAGIC) : len(MAGIC) + 8], "little")
@@ -219,17 +224,21 @@ def from_bytes(data: bytes) -> MeasurementSnapshot:
         raise SnapshotError("truncated snapshot header")
     try:
         header = json.loads(data[header_begin:header_end].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise SnapshotError(f"corrupt snapshot header: {exc}") from exc
-    version = header.get("version")
-    if version != SNAPSHOT_VERSION:
-        raise SnapshotError(
-            f"snapshot version {version!r} is not supported "
-            f"(this build reads version {SNAPSHOT_VERSION})"
-        )
+        version = header.get("version")
+        if version != SNAPSHOT_VERSION:
+            raise SnapshotError(
+                f"snapshot version {version!r} is not supported "
+                f"(this build reads version {SNAPSHOT_VERSION})"
+            )
+        return _decode(header, data, header_end)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        # Bad JSON or UTF-8 is a ValueError; an unknown dtype a TypeError.
+        raise SnapshotError(f"corrupt snapshot header: {exc!r}") from exc
 
+
+def _decode(header: dict, data: bytes, offset: int) -> MeasurementSnapshot:
+    """Build the snapshot a version-checked ``header`` describes."""
     columns: "dict[str, np.ndarray]" = {}
-    offset = header_end
     for entry in header["manifest"]:
         dtype = np.dtype(entry["dtype"])
         nbytes = dtype.itemsize * entry["count"]
@@ -281,29 +290,24 @@ def from_bytes(data: bytes) -> MeasurementSnapshot:
             raise SnapshotError(
                 "snapshot declares a 'tier' section but carries no tier header"
             )
-        try:
-            tier = TierState(
-                cache_entries=tier_meta["cache_entries"],
-                tier_interval=tier_meta["tier_interval"],
-                op_count=tier_meta["op_count"],
-                cache_updates=tier_meta["cache_updates"],
-                promotions=tier_meta["promotions"],
-                demotions=tier_meta["demotions"],
-                keys=columns["wsaf.tier.keys"],
-                packets=columns["wsaf.tier.packets"],
-                bytes=columns["wsaf.tier.bytes"],
-                timestamps=columns["wsaf.tier.timestamps"],
-                chance=columns["wsaf.tier.chance"],
-                tuple_lo=columns["wsaf.tier.tuple_lo"],
-                tuple_hi=columns["wsaf.tier.tuple_hi"],
-                tuple_present=columns["wsaf.tier.tuple_present"],
-                heat_keys=columns["wsaf.tier.heat_keys"],
-                heat_counts=columns["wsaf.tier.heat_counts"],
-            )
-        except KeyError as exc:
-            raise SnapshotError(
-                f"snapshot is missing tier column/field {exc}"
-            ) from exc
+        tier = TierState(
+            cache_entries=tier_meta["cache_entries"],
+            tier_interval=tier_meta["tier_interval"],
+            op_count=tier_meta["op_count"],
+            cache_updates=tier_meta["cache_updates"],
+            promotions=tier_meta["promotions"],
+            demotions=tier_meta["demotions"],
+            keys=columns["wsaf.tier.keys"],
+            packets=columns["wsaf.tier.packets"],
+            bytes=columns["wsaf.tier.bytes"],
+            timestamps=columns["wsaf.tier.timestamps"],
+            chance=columns["wsaf.tier.chance"],
+            tuple_lo=columns["wsaf.tier.tuple_lo"],
+            tuple_hi=columns["wsaf.tier.tuple_hi"],
+            tuple_present=columns["wsaf.tier.tuple_present"],
+            heat_keys=columns["wsaf.tier.heat_keys"],
+            heat_counts=columns["wsaf.tier.heat_counts"],
+        )
     ice = None
     if "ice" in sections:
         ice_meta = wsaf_meta.get("ice")
@@ -311,43 +315,35 @@ def from_bytes(data: bytes) -> MeasurementSnapshot:
             raise SnapshotError(
                 "snapshot declares an 'ice' section but carries no ice header"
             )
-        try:
-            ice = IceState(
-                bucket_slots=ice_meta["bucket_slots"],
-                counter_bits=ice_meta["counter_bits"],
-                upscales=ice_meta["upscales"],
-                scale_packets=columns["wsaf.ice.scale_packets"],
-                scale_bytes=columns["wsaf.ice.scale_bytes"],
-            )
-        except KeyError as exc:
-            raise SnapshotError(
-                f"snapshot is missing ice column/field {exc}"
-            ) from exc
-    try:
-        wsaf = WSAFState(
-            num_entries=wsaf_meta["num_entries"],
-            probe_limit=wsaf_meta["probe_limit"],
-            eviction_policy=wsaf_meta["eviction_policy"],
-            size=wsaf_meta["size"],
-            insertions=wsaf_meta["insertions"],
-            updates=wsaf_meta["updates"],
-            evictions=wsaf_meta["evictions"],
-            gc_reclaimed=wsaf_meta["gc_reclaimed"],
-            rejected=wsaf_meta["rejected"],
-            slots=columns["wsaf.slots"].astype(np.int64),
-            keys=columns["wsaf.keys"],
-            packets=columns["wsaf.packets"],
-            bytes=columns["wsaf.bytes"],
-            timestamps=columns["wsaf.timestamps"],
-            chance=columns["wsaf.chance"],
-            tuple_lo=columns["wsaf.tuple_lo"],
-            tuple_hi=columns["wsaf.tuple_hi"],
-            tuple_present=columns["wsaf.tuple_present"],
-            tier=tier,
-            ice=ice,
+        ice = IceState(
+            bucket_slots=ice_meta["bucket_slots"],
+            counter_bits=ice_meta["counter_bits"],
+            upscales=ice_meta["upscales"],
+            scale_packets=columns["wsaf.ice.scale_packets"],
+            scale_bytes=columns["wsaf.ice.scale_bytes"],
         )
-    except KeyError as exc:
-        raise SnapshotError(f"snapshot is missing WSAF column {exc}") from exc
+    wsaf = WSAFState(
+        num_entries=wsaf_meta["num_entries"],
+        probe_limit=wsaf_meta["probe_limit"],
+        eviction_policy=wsaf_meta["eviction_policy"],
+        size=wsaf_meta["size"],
+        insertions=wsaf_meta["insertions"],
+        updates=wsaf_meta["updates"],
+        evictions=wsaf_meta["evictions"],
+        gc_reclaimed=wsaf_meta["gc_reclaimed"],
+        rejected=wsaf_meta["rejected"],
+        slots=columns["wsaf.slots"].astype(np.int64),
+        keys=columns["wsaf.keys"],
+        packets=columns["wsaf.packets"],
+        bytes=columns["wsaf.bytes"],
+        timestamps=columns["wsaf.timestamps"],
+        chance=columns["wsaf.chance"],
+        tuple_lo=columns["wsaf.tuple_lo"],
+        tuple_hi=columns["wsaf.tuple_hi"],
+        tuple_present=columns["wsaf.tuple_present"],
+        tier=tier,
+        ice=ice,
+    )
 
     stream_meta = header["stream"]
     stream = None

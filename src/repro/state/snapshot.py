@@ -37,7 +37,7 @@ KIND_INSTAMEASURE = "instameasure"
 #: Config fields older builds embedded in snapshots that this build no
 #: longer has.  Each was a throughput-only knob with bit-identical state,
 #: so restoring without it rebuilds the same engine.
-RETIRED_CONFIG_FIELDS = ("regulator_replay",)
+RETIRED_CONFIG_FIELDS = ("regulator_replay", "wsaf_engine")
 
 
 def pack_tuple_columns(tuples) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
@@ -300,16 +300,23 @@ class MeasurementSnapshot:
 
     def engine_config(self):
         """The embedded config as an :class:`~repro.core.instameasure.
-        InstaMeasureConfig`, minus :data:`RETIRED_CONFIG_FIELDS`."""
+        InstaMeasureConfig`, minus :data:`RETIRED_CONFIG_FIELDS`.
+
+        Raises :class:`SnapshotError` when the embedded config is not one
+        this build can construct (an unknown field or an invalid value).
+        """
         from repro.core.instameasure import InstaMeasureConfig
 
-        return InstaMeasureConfig(
-            **{
-                name: value
-                for name, value in self.config.items()
-                if name not in RETIRED_CONFIG_FIELDS
-            }
-        )
+        try:
+            return InstaMeasureConfig(
+                **{
+                    name: value
+                    for name, value in self.config.items()
+                    if name not in RETIRED_CONFIG_FIELDS
+                }
+            )
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise SnapshotError(f"snapshot config is invalid: {exc}") from exc
 
     def restore(self, accountant=None):
         """Materialize a live :class:`~repro.core.instameasure.InstaMeasure`."""
@@ -442,7 +449,8 @@ def restore_engine(snapshot: MeasurementSnapshot, accountant=None):
     The engine is constructed from the snapshot's embedded config, then
     regulator words/counters, WSAF records, and (when present) the ingest
     stream's RNG cursor are installed.  A restored mid-stream engine
-    continues ingesting exactly where the captured one stopped.
+    continues ingesting exactly where the captured one stopped.  A
+    snapshot that cannot be restored raises :class:`SnapshotError`.
     """
     from repro.core.instameasure import InstaMeasure
 
@@ -450,9 +458,15 @@ def restore_engine(snapshot: MeasurementSnapshot, accountant=None):
         raise SnapshotError(
             f"cannot restore snapshot kind {snapshot.kind!r} into an engine"
         )
-    engine = InstaMeasure(snapshot.engine_config(), accountant)
-    restore_regulator(engine.regulator, snapshot.regulator)
-    engine.wsaf.load_state(snapshot.wsaf)
+    config = snapshot.engine_config()
+    try:
+        engine = InstaMeasure(config, accountant)
+        restore_regulator(engine.regulator, snapshot.regulator)
+        engine.wsaf.load_state(snapshot.wsaf)
+    except (IndexError, OverflowError, TypeError, ValueError) as exc:
+        # Invalid geometry or policy values, or records that do not fit
+        # the table they claim to come from.
+        raise SnapshotError(f"snapshot does not restore: {exc}") from exc
     cursor = snapshot.stream
     if cursor is not None:
         if cursor.total is None:

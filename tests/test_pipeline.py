@@ -10,6 +10,8 @@ every measurer in the repository satisfies the protocol.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,7 @@ from repro.baselines import (
     UnivMon,
 )
 from repro.core import InstaMeasure, InstaMeasureConfig, MultiCoreInstaMeasure
+from repro.core.instameasure import build_wsaf_table
 from repro.errors import ConfigurationError
 from repro.pipeline import (
     Pipeline,
@@ -84,16 +87,21 @@ def _burst_trace() -> Trace:
     )
 
 
-def _engine(engine: str, wsaf_engine: str) -> InstaMeasure:
-    return InstaMeasure(
-        InstaMeasureConfig(
-            l1_memory_bytes=2 * 1024,
-            wsaf_entries=1 << 12,
-            seed=3,
-            engine=engine,
-            wsaf_engine=wsaf_engine,
-        )
+def _engine(engine: str, table: str) -> InstaMeasure:
+    """An ``engine`` run whose flat WSAF takes the ``table`` form.
+
+    The config picks the form matching the engine; swapping in the other
+    one checks that each trace path feeds either form identically.
+    """
+    config = InstaMeasureConfig(
+        l1_memory_bytes=2 * 1024,
+        wsaf_entries=1 << 12,
+        seed=3,
+        engine=engine,
     )
+    measure = InstaMeasure(config)
+    measure.wsaf = build_wsaf_table(replace(config, engine=table))
+    return measure
 
 
 def _run_whole(engine: InstaMeasure, trace: Trace) -> "tuple[object, list]":
@@ -216,7 +224,7 @@ class TestMultiCore:
             l1_memory_bytes=2 * 1024, wsaf_entries=1 << 12, seed=3
         )
         whole = MultiCoreInstaMeasure(3, config)
-        whole_result = whole.process_trace(trace, parallel=False)
+        whole_result = whole.process_trace(trace)
 
         streamed = MultiCoreInstaMeasure(3, config)
         outcome = run_pipeline(streamed, trace, chunk_size=4_321)

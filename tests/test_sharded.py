@@ -39,12 +39,12 @@ def trace():
     )
 
 
-def _config(wsaf_engine: str = "auto", **overrides) -> InstaMeasureConfig:
+def _config(engine: str = "auto", **overrides) -> InstaMeasureConfig:
     base = dict(
         l1_memory_bytes=4 * 1024,
         wsaf_entries=1 << 12,
         seed=3,
-        wsaf_engine=wsaf_engine,
+        engine=engine,
     )
     base.update(overrides)
     return InstaMeasureConfig(**base)
@@ -91,10 +91,13 @@ class TestShardRouter:
 
 
 class TestShardedEquivalence:
-    @pytest.mark.parametrize("wsaf_engine", ["scalar", "batched"])
+    # Test ids name the trace path: ``auto`` runs the batched kernel.
+    @pytest.mark.parametrize(
+        "engine", ["scalar", "auto"], ids=["scalar", "batched"]
+    )
     @pytest.mark.parametrize("num_shards", [1, 2, 4, 8])
-    def test_sharded_equals_single_process(self, trace, wsaf_engine, num_shards):
-        config = _config(wsaf_engine)
+    def test_sharded_equals_single_process(self, trace, engine, num_shards):
+        config = _config(engine)
         single = _single_run(config, trace)
         # The exactness argument requires an eviction-free single run.
         assert single.wsaf.evictions == 0 and single.wsaf.gc_reclaimed == 0
@@ -119,7 +122,7 @@ class TestShardedEquivalence:
         )
 
     def test_sharded_counters_match_single_run(self, trace):
-        config = _config("scalar")
+        config = _config()
         single = _single_run(config, trace)
         result = ShardedPipeline(config, num_shards=4).run(trace)
         assert result.snapshot.wsaf.insertions == single.wsaf.insertions
@@ -135,7 +138,7 @@ class TestShardedEquivalence:
         assert forked.shard_packets == in_process.shard_packets
 
     def test_restored_merged_state_is_live(self, trace):
-        config = _config("scalar")
+        config = _config()
         result = ShardedPipeline(config, num_shards=4).run(trace)
         engine = result.restore()
         assert engine.estimates() == result.estimates()
@@ -148,7 +151,7 @@ class TestShardedEquivalence:
         tiny = build_caida_like_trace(
             CaidaLikeConfig(num_flows=3, duration=1.0, seed=2)
         )
-        config = _config("scalar")
+        config = _config()
         single = _single_run(config, tiny)
         result = ShardedPipeline(config, num_shards=8).run(tiny)
         assert result.estimates() == single.estimates()
@@ -156,7 +159,7 @@ class TestShardedEquivalence:
 
     def test_chunked_workers_preserve_equivalence(self, trace):
         """Tiny per-worker chunks exercise positioned multi-chunk streams."""
-        config = _config("scalar")
+        config = _config()
         single = _single_run(config, trace)
         result = ShardedPipeline(config, num_shards=3, chunk_size=700).run(trace)
         assert result.estimates() == single.estimates()
@@ -164,7 +167,7 @@ class TestShardedEquivalence:
 
 class TestShardedPipelineAPI:
     def test_accepts_trace_backed_sources(self, trace):
-        config = _config("scalar")
+        config = _config()
         from_trace = ShardedPipeline(config, num_shards=2).run(trace)
         from_source = ShardedPipeline(config, num_shards=2).run(
             TraceChunkSource(trace, chunk_size=4_000)
@@ -186,7 +189,7 @@ class TestShardedPipelineAPI:
             def __iter__(self):
                 return iter(inner)
 
-        config = _config("scalar")
+        config = _config()
         result = ShardedPipeline(config, num_shards=3).run(Unbounded())
         assert sum(result.shard_packets) == trace.num_packets
         keys = set(trace.flows.key64.tolist())
@@ -206,7 +209,7 @@ class TestShardedPipelineAPI:
             def __iter__(self):
                 return iter(inner)
 
-        config = _config("scalar")
+        config = _config()
         result = ShardedPipeline(config, num_shards=3).run(Relay())
         assert result.estimates() == _single_run(config, trace).estimates()
 
@@ -244,7 +247,7 @@ class TestShardedPipelineAPI:
         import repro.pipeline.sharded as sharded_module
 
         monkeypatch.setattr(sharded_module, "_fork_available", lambda: False)
-        config = _config("scalar")
+        config = _config()
         with pytest.warns(RuntimeWarning, match="fork start method"):
             result = ShardedPipeline(config, num_shards=2, parallel=True).run(
                 trace
@@ -257,7 +260,7 @@ class TestShardedPipelineAPI:
             ShardedPipeline(_config(), num_shards=0)
 
     def test_run_sharded_convenience(self, trace):
-        config = _config("scalar")
+        config = _config()
         result = run_sharded(config, trace, num_shards=2)
         assert result.estimates() == _single_run(config, trace).estimates()
 
@@ -267,7 +270,7 @@ class TestShardedPipelineAPI:
         assert sum(result.load_shares) == pytest.approx(1.0)
 
     def test_estimates_for_alignment(self, trace):
-        config = _config("scalar")
+        config = _config()
         result = ShardedPipeline(config, num_shards=2).run(trace)
         single = _single_run(config, trace)
         got_packets, got_bytes = result.estimates_for(trace)
@@ -282,7 +285,7 @@ class TestStreamingEdges:
         tiny = build_caida_like_trace(
             CaidaLikeConfig(num_flows=20, duration=0.3, seed=7)
         )
-        config = _config("scalar")
+        config = _config()
         single = _single_run(config, tiny)
         result = ShardedPipeline(config, num_shards=3, chunk_size=1).run(tiny)
         assert result.estimates() == single.estimates()
@@ -294,7 +297,7 @@ class TestStreamingEdges:
         from repro.state import capture_engine
         from repro.traffic.packet import Trace
 
-        engine = InstaMeasure(_config("scalar"))
+        engine = InstaMeasure(_config())
         engine.begin_stream(total=trace.num_packets)
         sub = Trace(
             timestamps=trace.timestamps[:10],
@@ -315,7 +318,7 @@ class TestShardWorkerPool:
     def _pool(self, total=100):
         from repro.pipeline import ShardWorkerPool
 
-        config = _config("scalar")
+        config = _config()
         router = ShardRouter.for_config(config, 1)
         return ShardWorkerPool(config, [router.key_range(0)], total)
 
@@ -392,7 +395,7 @@ class TestPrefetchChunkSource:
         assert prefetched.start_time == inner.start_time
 
     def test_pipeline_results_are_bit_identical(self, trace):
-        config = _config("scalar")
+        config = _config()
         direct = InstaMeasure(config)
         from repro.pipeline import Pipeline
 
@@ -543,7 +546,7 @@ class TestPrefetchChunkSource:
     def test_pipeline_surfaces_prefetch_stats(self, trace):
         from repro.pipeline import Pipeline
 
-        config = _config("scalar")
+        config = _config()
         prefetched = PrefetchChunkSource(
             TraceChunkSource(trace, chunk_size=1_000)
         )

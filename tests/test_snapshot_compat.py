@@ -12,9 +12,10 @@ header's ``wsaf.sections`` list.  The compatibility contracts:
   unknown section's column bytes would otherwise be misattributed.
 * The committed golden snapshots — captured with the pre-refactor flat
   tables — still describe exactly what the current flat backend produces
-  on the same trace and config, for both the scalar and the batch-probed
-  engine.  This is the bit-identity bar for the ``flat`` backend: same
-  records, same slots, same counters, same estimates.
+  on the same trace and config, for both the scalar engine (scalar table)
+  and ``engine="auto"`` (batched kernel, batch-probed table).  This is
+  the bit-identity bar for the ``flat`` backend: same records, same
+  slots, same counters, same estimates.
 """
 
 from __future__ import annotations
@@ -24,9 +25,12 @@ import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import InstaMeasure, InstaMeasureConfig
 from repro.errors import SnapshotError
+from repro.kernels.wsaf_batched import BatchedWSAFTable
 from repro.state import capture_engine, from_bytes, load, to_bytes
 from repro.state.codec import MAGIC
 from repro.traffic import CaidaLikeConfig, build_caida_like_trace
@@ -45,6 +49,16 @@ GOLDEN_CONFIG = dict(
     seed=3,
     gc_timeout=5.0,
 )
+
+#: Both engines, with test ids naming the trace path each one runs:
+#: ``engine="auto"`` resolves to the batched kernel for the golden config.
+ENGINES = pytest.mark.parametrize(
+    "engine", ["scalar", "auto"], ids=["scalar", "batched"]
+)
+
+#: Every committed golden, each captured with a config that still carried
+#: the since-retired ``regulator_replay`` and ``wsaf_engine`` knobs.
+GOLDEN_NAMES = ["flat_scalar", "flat_batched", "tiered", "icebuckets"]
 
 
 def _header_of(payload: bytes) -> dict:
@@ -128,14 +142,15 @@ class TestGoldenFlatIdentity:
     def golden_trace(self):
         return build_caida_like_trace(CaidaLikeConfig(**GOLDEN_TRACE))
 
-    @pytest.mark.parametrize("wsaf_engine", ["scalar", "batched"])
-    def test_flat_backend_matches_golden(self, golden_trace, wsaf_engine):
-        golden = load(GOLDEN_DIR / f"flat_{wsaf_engine}.imsnap")
-        engine = InstaMeasure(
-            InstaMeasureConfig(wsaf_engine=wsaf_engine, **GOLDEN_CONFIG)
-        )
-        engine.process_trace(golden_trace)
-        current = capture_engine(engine)
+    @ENGINES
+    def test_flat_backend_matches_golden(self, golden_trace, engine):
+        measure = InstaMeasure(InstaMeasureConfig(engine=engine, **GOLDEN_CONFIG))
+        # The table form follows the engine: auto batch-probes flat.
+        form = "scalar" if engine == "scalar" else "batched"
+        assert isinstance(measure.wsaf, BatchedWSAFTable) == (form == "batched")
+        golden = load(GOLDEN_DIR / f"flat_{form}.imsnap")
+        measure.process_trace(golden_trace)
+        current = capture_engine(measure)
 
         want, got = golden.wsaf, current.wsaf
         for counter in (
@@ -169,9 +184,9 @@ class TestGoldenFlatIdentity:
         assert current.regulator.packets == golden.regulator.packets
         assert current.regulator.insertions == golden.regulator.insertions
 
-    @pytest.mark.parametrize("wsaf_engine", ["scalar", "batched"])
-    def test_golden_exercises_eviction_dynamics(self, wsaf_engine):
-        golden = load(GOLDEN_DIR / f"flat_{wsaf_engine}.imsnap")
+    @pytest.mark.parametrize("form", ["scalar", "batched"])
+    def test_golden_exercises_eviction_dynamics(self, form):
+        golden = load(GOLDEN_DIR / f"flat_{form}.imsnap")
         assert golden.wsaf.evictions > 0
         assert golden.wsaf.gc_reclaimed > 0
         assert golden.wsaf.rejected > 0
@@ -214,10 +229,12 @@ _WSAF_COLUMNS = (
 class TestGoldenBackendIdentity:
     """Tiered and ICE backends are pinned per engine by one golden each.
 
-    The goldens were captured with ``wsaf_engine="scalar"``; checking the
-    batched run against the *same* golden is the cross-engine bit-identity
-    contract — same estimates, same eviction/GC order, same promote/demote
-    decisions, same upscale points, same tier/ice sections.
+    The goldens were captured with scalar tables; checking both engines
+    against the *same* golden is the cross-engine bit-identity contract —
+    same estimates, same eviction/GC order, same promote/demote decisions,
+    same upscale points, same tier/ice sections.  Under ``engine="auto"``
+    the tiered backend runs its batch-probed table, and ICE runs the
+    batched kernel feeding the scalar ICE table.
     """
 
     @pytest.fixture(scope="class")
@@ -225,18 +242,18 @@ class TestGoldenBackendIdentity:
         return build_caida_like_trace(CaidaLikeConfig(**GOLDEN_TRACE))
 
     @pytest.mark.parametrize("backend", sorted(GOLDEN_BACKENDS))
-    @pytest.mark.parametrize("wsaf_engine", ["scalar", "batched"])
-    def test_backend_matches_golden(self, golden_trace, backend, wsaf_engine):
+    @ENGINES
+    def test_backend_matches_golden(self, golden_trace, backend, engine):
         golden = load(GOLDEN_DIR / f"{backend}.imsnap")
-        engine = InstaMeasure(
+        measure = InstaMeasure(
             InstaMeasureConfig(
-                wsaf_engine=wsaf_engine,
+                engine=engine,
                 **GOLDEN_CONFIG,
                 **GOLDEN_BACKENDS[backend],
             )
         )
-        engine.process_trace(golden_trace)
-        current = capture_engine(engine)
+        measure.process_trace(golden_trace)
+        current = capture_engine(measure)
 
         want, got = golden.wsaf, current.wsaf
         for counter in _WSAF_COUNTERS:
@@ -303,15 +320,61 @@ class TestGoldenBackendIdentity:
 class TestRetiredConfigFields:
     """Goldens written before a knob was retired still load and restore."""
 
-    @pytest.mark.parametrize(
-        "name", ["flat_scalar", "flat_batched", "tiered", "icebuckets"]
-    )
+    @pytest.mark.parametrize("name", GOLDEN_NAMES)
     def test_golden_restores_without_retired_knob(self, name):
         payload = (GOLDEN_DIR / f"{name}.imsnap").read_bytes()
         golden = from_bytes(payload)
         assert to_bytes(golden) == payload
-        # Captured when the config still carried regulator_replay.
+        # Captured when the config still carried both retired knobs.
         assert "regulator_replay" in golden.config
+        assert "wsaf_engine" in golden.config
         engine = InstaMeasure.from_snapshot(golden)
         assert not hasattr(engine.config, "regulator_replay")
-        assert capture_engine(engine).estimates() == golden.estimates()
+        assert not hasattr(engine.config, "wsaf_engine")
+        # Every record lands in its slot, whichever table form the
+        # restored config picks.
+        recaptured = capture_engine(engine)
+        for counter in _WSAF_COUNTERS:
+            assert getattr(recaptured.wsaf, counter) == getattr(
+                golden.wsaf, counter
+            ), counter
+        for column in _WSAF_COLUMNS:
+            assert np.array_equal(
+                getattr(recaptured.wsaf, column), getattr(golden.wsaf, column)
+            ), column
+        assert recaptured.estimates() == golden.estimates()
+
+    def test_wsaf_engine_is_not_a_config_field(self):
+        with pytest.raises(TypeError):
+            InstaMeasureConfig(wsaf_engine="scalar")
+
+
+class TestCorruptGoldens:
+    """Damaged snapshot bytes fail with :class:`SnapshotError` only.
+
+    A few overwritten bytes anywhere in a golden — header JSON, manifest,
+    config or column payloads — must either still decode and restore, or
+    be rejected as a corrupt snapshot; never escape as a ``KeyError``,
+    ``TypeError`` or ``ConfigurationError``.
+    """
+
+    @pytest.mark.parametrize("name", GOLDEN_NAMES)
+    @settings(max_examples=250, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_mutated_golden_raises_only_snapshot_error(self, name, data):
+        payload = bytearray((GOLDEN_DIR / f"{name}.imsnap").read_bytes())
+        edits = data.draw(
+            st.lists(
+                st.tuples(
+                    st.integers(0, len(payload) - 1), st.integers(0, 255)
+                ),
+                min_size=1,
+                max_size=4,
+            )
+        )
+        for position, value in edits:
+            payload[position] = value
+        try:
+            InstaMeasure.from_snapshot(from_bytes(bytes(payload)))
+        except SnapshotError:
+            pass

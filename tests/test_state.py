@@ -22,6 +22,7 @@ import pytest
 
 from repro.core import InstaMeasure, InstaMeasureConfig
 from repro.errors import SnapshotError
+from repro.kernels.wsaf_batched import BatchedWSAFTable
 from repro.pipeline import TraceChunkSource, run_pipeline
 from repro.state import (
     MeasurementSnapshot,
@@ -48,19 +49,27 @@ def trace():
     )
 
 
-def _config(wsaf_engine: str, **overrides) -> InstaMeasureConfig:
+#: Both engines, with test ids naming the trace path each one runs:
+#: ``engine="auto"`` resolves to the batched kernel (and, for the flat
+#: backend, the batch-probed table).
+ENGINES = pytest.mark.parametrize(
+    "engine_kind", ["scalar", "auto"], ids=["scalar", "batched"]
+)
+
+
+def _config(engine: str, **overrides) -> InstaMeasureConfig:
     base = dict(
         l1_memory_bytes=2 * 1024,
         wsaf_entries=1 << 11,
         seed=3,
-        wsaf_engine=wsaf_engine,
+        engine=engine,
     )
     base.update(overrides)
     return InstaMeasureConfig(**base)
 
 
-def _measured(trace, wsaf_engine: str, **overrides) -> InstaMeasure:
-    engine = InstaMeasure(_config(wsaf_engine, **overrides))
+def _measured(trace, engine_kind: str, **overrides) -> InstaMeasure:
+    engine = InstaMeasure(_config(engine_kind, **overrides))
     engine.process_trace(trace)
     return engine
 
@@ -81,9 +90,9 @@ def _tamper_header(payload: bytes, **fields) -> bytes:
 
 
 class TestRoundTrip:
-    @pytest.mark.parametrize("wsaf_engine", ["scalar", "batched"])
-    def test_bytes_round_trip_is_exact(self, trace, wsaf_engine):
-        engine = _measured(trace, wsaf_engine)
+    @ENGINES
+    def test_bytes_round_trip_is_exact(self, trace, engine_kind):
+        engine = _measured(trace, engine_kind)
         snapshot = capture_engine(engine)
         recovered = from_bytes(to_bytes(snapshot))
 
@@ -100,9 +109,9 @@ class TestRoundTrip:
         ):
             assert np.array_equal(live.words_array(), back.words_array())
 
-    @pytest.mark.parametrize("wsaf_engine", ["scalar", "batched"])
-    def test_file_round_trip(self, trace, wsaf_engine, tmp_path):
-        engine = _measured(trace, wsaf_engine)
+    @ENGINES
+    def test_file_round_trip(self, trace, engine_kind, tmp_path):
+        engine = _measured(trace, engine_kind)
         snapshot = capture_engine(engine)
         path = tmp_path / "state.snap"
         save(snapshot, path)
@@ -125,12 +134,13 @@ class TestRoundTrip:
     def test_cross_store_restore(self, trace):
         """Scalar capture restores into the batched store exactly."""
         snapshot = capture_engine(_measured(trace, "scalar"))
-        snapshot.config["wsaf_engine"] = "batched"
+        snapshot.config["engine"] = "auto"
         restored = restore_engine(snapshot)
+        assert isinstance(restored.wsaf, BatchedWSAFTable)
         assert restored.estimates() == _measured(trace, "scalar").estimates()
 
     def test_multilayer_regulator_round_trip(self, trace):
-        engine = _measured(trace, "scalar", num_layers=3, engine="scalar")
+        engine = _measured(trace, "scalar", num_layers=3)
         snapshot = from_bytes(to_bytes(capture_engine(engine)))
         restored = restore_engine(snapshot)
         for live, back in zip(
@@ -162,17 +172,17 @@ class TestRoundTrip:
 
 
 class TestMidStreamResume:
-    @pytest.mark.parametrize("wsaf_engine", ["scalar", "batched"])
-    def test_save_load_resume_bit_identical(self, trace, wsaf_engine, tmp_path):
+    @ENGINES
+    def test_save_load_resume_bit_identical(self, trace, engine_kind, tmp_path):
         chunks = list(TraceChunkSource(trace, chunk_size=1_500))
         assert len(chunks) >= 4
 
-        reference = InstaMeasure(_config(wsaf_engine))
+        reference = InstaMeasure(_config(engine_kind))
         for chunk in chunks:
             reference.ingest(chunk)
         reference.finalize()
 
-        engine = InstaMeasure(_config(wsaf_engine))
+        engine = InstaMeasure(_config(engine_kind))
         for chunk in chunks[:2]:
             engine.ingest(chunk)
         path = tmp_path / "midstream.snap"
@@ -189,21 +199,21 @@ class TestMidStreamResume:
             capture_engine(reference)
         )
 
-    @pytest.mark.parametrize("wsaf_engine", ["scalar", "batched"])
+    @ENGINES
     def test_unknown_length_save_load_resume_bit_identical(
-        self, trace, wsaf_engine, tmp_path
+        self, trace, engine_kind, tmp_path
     ):
         """Unbounded streams checkpoint mid-flight via the block cursor."""
         chunks = list(TraceChunkSource(trace, chunk_size=1_500))
         assert len(chunks) >= 4
 
-        reference = InstaMeasure(_config(wsaf_engine))
+        reference = InstaMeasure(_config(engine_kind))
         reference.begin_stream()
         for chunk in chunks:
             reference.ingest(chunk)
         reference.finalize()
 
-        engine = InstaMeasure(_config(wsaf_engine))
+        engine = InstaMeasure(_config(engine_kind))
         engine.begin_stream()
         for chunk in chunks[:2]:
             engine.ingest(chunk)
@@ -270,7 +280,7 @@ class TestMerge:
     def test_overlap_merge_counter_sums(self, trace):
         """Two full-trace runs merge to per-key doubled estimates."""
         a = capture_engine(_measured(trace, "scalar"))
-        b = capture_engine(_measured(trace, "batched"))
+        b = capture_engine(_measured(trace, "auto"))
         merged = merge([a, b], mode="overlap")
 
         base = a.estimates()
@@ -358,7 +368,7 @@ class TestSnapshotEstimates:
 
     def test_pipeline_snapshot_path(self, trace):
         """``engine.snapshot()`` after a pipeline run captures everything."""
-        engine = InstaMeasure(_config("batched"))
+        engine = InstaMeasure(_config("auto"))
         run_pipeline(engine, trace, chunk_size=2_500)
         snapshot = engine.snapshot()
         assert isinstance(snapshot, MeasurementSnapshot)

@@ -3,9 +3,10 @@
 The contracts under test are the backend seam's guarantees:
 
 * Backend selection: ``wsaf_backend`` picks the storage algorithm and
-  composes with either ``wsaf_engine`` (every backend has a scalar and
-  a batch-probed form, bit-identical by contract), and every backend
-  satisfies the :class:`~repro.core.wsaf_storage.WSAFStorage` protocol.
+  the trace engine picks the table form (flat and tiered batch-probe
+  exactly when the trace path batches; ICE-Buckets is always scalar),
+  and every backend satisfies the
+  :class:`~repro.core.wsaf_storage.WSAFStorage` protocol.
 * The tiered store is lossless: with a roomy table its estimates equal
   the flat table's exactly, while the hot cache absorbs accumulates at
   SRAM cost (visible through the accountant's per-label pricing).
@@ -33,12 +34,8 @@ from repro.core import (
     build_wsaf_storage,
     default_technologies,
 )
-from repro.core.instameasure import resolved_wsaf_engine
 from repro.errors import ConfigurationError
-from repro.kernels.wsaf_batched import (
-    BatchedIceBucketsWSAFTable,
-    BatchedWSAFTable,
-)
+from repro.kernels.wsaf_batched import BatchedWSAFTable
 from repro.memmodel import DRAM, SRAM, AccessAccountant
 from repro.state import capture_engine, from_bytes, restore_engine, to_bytes
 from repro.traffic import CaidaLikeConfig, build_caida_like_trace
@@ -70,21 +67,19 @@ def _measured(trace, backend: str, **overrides) -> InstaMeasure:
 
 class TestBackendSelection:
     def test_flat_scalar_builds_wsaf_table(self):
-        table = build_wsaf_storage(_config("flat", wsaf_engine="scalar"))
+        table = build_wsaf_storage(_config("flat", engine="scalar"))
         assert type(table) is WSAFTable
 
     def test_flat_batched_builds_batched_table(self):
-        table = build_wsaf_storage(_config("flat", wsaf_engine="batched"))
+        table = build_wsaf_storage(_config("flat"))
         assert type(table) is BatchedWSAFTable
 
     def test_tiered_and_ice_build_their_tables(self):
-        tiered = build_wsaf_storage(_config("tiered", wsaf_engine="scalar"))
+        tiered = build_wsaf_storage(_config("tiered", engine="scalar"))
         assert type(tiered) is TieredWSAFTable
         assert type(tiered.table) is WSAFTable
         assert (
-            type(
-                build_wsaf_storage(_config("icebuckets", wsaf_engine="scalar"))
-            )
+            type(build_wsaf_storage(_config("icebuckets", engine="scalar")))
             is IceBucketsWSAFTable
         )
 
@@ -95,35 +90,26 @@ class TestBackendSelection:
     def test_tiered_resolves_batched_under_auto(self):
         # The default 2-layer / 8-bit configuration batches the trace
         # path, so ``auto`` pairs the tiered backend with the
-        # batch-probed form — the delegated array entry point must be
-        # offered.
-        config = _config("tiered")
-        assert resolved_wsaf_engine(config) == "batched"
-        table = build_wsaf_storage(config)
+        # batch-probed form — the array entry point must be offered.
+        table = build_wsaf_storage(_config("tiered"))
+        assert type(table.table) is BatchedWSAFTable
         assert callable(getattr(table, "accumulate_batch_arrays", None))
 
     def test_icebuckets_resolves_scalar_under_auto(self):
-        # ICE-Buckets' quantized add chains are order-serial, so its
-        # batched form measures slower than per-event accumulate on this
-        # simulator; ``auto`` keeps the scalar table.  Forcing
-        # ``wsaf_engine="batched"`` must still compose (bit-identical).
-        assert resolved_wsaf_engine(_config("icebuckets")) == "scalar"
-        forced = _config("icebuckets", wsaf_engine="batched")
-        assert resolved_wsaf_engine(forced) == "batched"
-        table = build_wsaf_storage(forced)
-        assert callable(getattr(table, "accumulate_batch_arrays", None))
+        # ICE-Buckets' quantized add chains are order-serial, so there is
+        # no batch-probed form: the batched kernel feeds the scalar table
+        # through ``accumulate_batch``.
+        for engine in ("auto", "batched"):
+            table = build_wsaf_storage(_config("icebuckets", engine=engine))
+            assert type(table) is IceBucketsWSAFTable
+            assert not hasattr(table, "accumulate_batch_arrays")
 
     def test_batched_engine_builds_batched_backends(self):
-        tiered = build_wsaf_storage(_config("tiered", wsaf_engine="batched"))
+        tiered = build_wsaf_storage(_config("tiered", engine="batched"))
         assert type(tiered) is TieredWSAFTable
         assert type(tiered.table) is BatchedWSAFTable
-        assert (
-            type(
-                build_wsaf_storage(
-                    _config("icebuckets", wsaf_engine="batched")
-                )
-            )
-            is BatchedIceBucketsWSAFTable
+        assert type(build_wsaf_storage(_config("flat", engine="batched"))) is (
+            BatchedWSAFTable
         )
 
     def test_unknown_backend_is_rejected(self):
