@@ -164,6 +164,29 @@ class RCCSketch:
         )
         return idx.astype(np.int64), offset.astype(np.int64)
 
+    def place_flows(self, flows) -> "tuple[np.ndarray, np.ndarray]":
+        """:meth:`place_array` over a flow table's ``key64``, cached on it.
+
+        Every sketch with the same placement fingerprint (seeds and
+        geometry) places a flow identically, so the shard router and each
+        shard engine's L1 share one placement per chunk flow table.  The
+        key includes ``len(flows)`` because a worker's flow directory
+        grows between chunks.
+        """
+        key = (
+            self._place_seed_idx,
+            self._place_seed_off,
+            self.num_words,
+            self.word_bits,
+            len(flows),
+        )
+        cached = getattr(flows, "_placement_cache", None)
+        if cached is not None and cached[0] == key:
+            return cached[1]
+        placed = self.place_array(flows.key64)
+        flows._placement_cache = (key, placed)
+        return placed
+
     # -- encode / decode ---------------------------------------------------
 
     def encode_at(self, idx: int, offset: int, bit_choice: int) -> "int | None":

@@ -117,7 +117,7 @@ def _chunk_layouts(trace, l1, chunk_size: int) -> "list[dict]":
     if cached is not None and cached[0] == cache_key:
         return cached[1]
 
-    idx_by_flow, off_by_flow = l1.place_array(trace.flows.key64)
+    idx_by_flow, off_by_flow = l1.place_flows(trace.flows)
     flow_ids = trace.flow_ids
     word_dtype = np.uint16 if l1.num_words <= (1 << 16) else np.uint32
     packet_words = idx_by_flow.astype(word_dtype)[flow_ids]
@@ -276,10 +276,9 @@ def _delegate_chunk_events(
     event_z2,
     order,
     flow_ids,
-    key64,
+    flows,
     timestamps,
     sizes,
-    packed_tuples,
     decode_np,
     wsaf,
     wsaf_arrays,
@@ -291,7 +290,8 @@ def _delegate_chunk_events(
     restored by mapping through ``order`` and re-sorting by original packet
     position (chunks are contiguous, so chunk order composes to trace
     order).  The batch-probed table takes the grouped array form; any other
-    table gets the equivalent ``accumulate_batch`` call.
+    table gets the equivalent ``accumulate_batch`` call.  Only the
+    events' flows have their 5-tuples packed.
     """
     positions = order[event_pos]
     rank = np.argsort(positions, kind="stable")
@@ -302,8 +302,8 @@ def _delegate_chunk_events(
     est_pkt = decode_np[noise1] * decode_np[noise2]
     est_byte = est_pkt * sizes[positions]
     event_stamps = timestamps[positions]
-    event_keys = key64[event_flows]
-    event_tuples = [packed_tuples[f] for f in event_flows.tolist()]
+    event_keys = flows.key64[event_flows]
+    event_tuples = flows.packed_tuples_at(event_flows)
     if wsaf_arrays is not None:
         wsaf_arrays(
             event_keys,
@@ -452,10 +452,8 @@ def process_trace_batched(
     l2_saturated = counters.l2_saturated
 
     flow_ids = trace.flow_ids
-    key64 = trace.flows.key64
     timestamps = trace.timestamps
     sizes = trace.sizes
-    packed_tuples = trace.flows.packed_tuples()
     wsaf = engine.wsaf
     wsaf_arrays = getattr(wsaf, "accumulate_batch_arrays", None)
 
@@ -974,10 +972,9 @@ def process_trace_batched(
                 np.array(event_z2, dtype=np.int64),
                 order,
                 flow_ids,
-                key64,
+                trace.flows,
                 timestamps,
                 sizes,
-                packed_tuples,
                 decode_np,
                 wsaf,
                 wsaf_arrays,

@@ -66,10 +66,7 @@ from repro.pipeline.source import (
 )
 from repro.state import MeasurementSnapshot, ShardRouter, from_bytes, merge, to_bytes
 from repro.state.codec import pack_frame, unpack_frame
-from repro.traffic.packet import Trace
-
-#: Mask extracting the low 64 bits of a packed 104-bit 5-tuple.
-_LOW64 = (1 << 64) - 1
+from repro.traffic.packet import Trace, _join_halves
 
 
 @dataclass
@@ -149,11 +146,14 @@ class _ShardFlowDirectory:
     """A worker's growing flow table, fed incrementally by the parent.
 
     Duck-types the slice of :class:`~repro.traffic.packet.FlowTable` the
-    engines consume — ``key64``, ``packed_tuples()``, ``len()`` — so a
-    worker-side :class:`Trace` can reference it directly.  The parent
-    ships each flow's precomputed ``key64`` and packed-5-tuple halves
-    exactly once (on the first chunk where the flow appears), so the
-    per-chunk frames carry only the *new* flows' identity.
+    engines consume — ``key64``, ``packed_tuples()``,
+    ``packed_tuples_at()``, ``len()`` — so a worker-side :class:`Trace`
+    can reference it directly.  The parent ships each flow's precomputed
+    ``key64`` and packed-5-tuple halves exactly once (on the first chunk
+    where the flow appears), so the per-chunk frames carry only the
+    *new* flows' identity.  The directory grows between chunks, so the
+    L1 placement cached on it (:meth:`RCCSketch.place_flows`) is keyed
+    by its length and refreshes after each :meth:`extend`.
     """
 
     def __init__(self) -> None:
@@ -166,16 +166,17 @@ class _ShardFlowDirectory:
         if key64.size == 0:
             return
         self.key64 = np.concatenate([self.key64, key64.astype(np.uint64)])
-        self._packed.extend(
-            (high << 64) | low
-            for high, low in zip(tuple_hi.tolist(), tuple_lo.tolist())
-        )
+        self._packed.extend(_join_halves(tuple_hi, tuple_lo))
 
     def __len__(self) -> int:
         return int(self.key64.size)
 
     def packed_tuples(self) -> "list[int]":
         return self._packed
+
+    def packed_tuples_at(self, flow_ids: np.ndarray) -> "list[int]":
+        packed = self._packed
+        return [packed[i] for i in flow_ids.tolist()]
 
 
 class _ShardFlowSync:
@@ -210,23 +211,8 @@ class _ShardFlowSync:
 
 def _fresh_flow_columns(flows, index: np.ndarray):
     """``(key64, tuple_lo, tuple_hi)`` for the flows at ``index``."""
-    key64 = flows.key64[index]
-    try:
-        src = flows.src_ip[index].astype(np.uint64)
-        dst = flows.dst_ip[index].astype(np.uint64)
-        lo = (
-            ((dst & np.uint64(0xFFFFFF)) << np.uint64(40))
-            | (flows.src_port[index].astype(np.uint64) << np.uint64(24))
-            | (flows.dst_port[index].astype(np.uint64) << np.uint64(8))
-            | flows.protocol[index].astype(np.uint64)
-        )
-        hi = (src << np.uint64(8)) | (dst >> np.uint64(24))
-    except AttributeError:
-        packed = flows.packed_tuples()
-        values = [packed[i] for i in index.tolist()]
-        lo = np.array([v & _LOW64 for v in values], dtype=np.uint64)
-        hi = np.array([v >> 64 for v in values], dtype=np.uint64)
-    return key64, lo, hi
+    hi, lo = flows._halves(index)
+    return flows.key64[index], lo, hi
 
 
 # -- the persistent worker pool ----------------------------------------------

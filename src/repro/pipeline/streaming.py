@@ -32,7 +32,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError, TraceFormatError
 from repro.pipeline.source import Chunk, ChunkSource
-from repro.traffic.packet import FlowTable, Trace
+from repro.traffic.packet import FlowTable, Trace, _pack_halves
 from repro.traffic.pcaplite import (
     FORMAT_VERSION,
     HEADER_BYTES,
@@ -54,23 +54,22 @@ def trace_from_records(records: np.ndarray, hash_seed: int = 0) -> Trace:
     """Columnar trace from a block of pcap-lite records.
 
     Flows are deduplicated vectorized (no Python loop over packets): the
-    5-tuple is packed into a (hi, lo) u64 pair (the bit layout
-    FlowTable._compute_keys folds, so unpacking is exact), one two-column
-    ``lexsort`` orders the packets by pair, an adjacent-difference mask
-    marks each new flow, and its running count scattered back through the
-    sort order gives the per-packet flow ids.  Flow order is the pairs'
-    sort order (hi, then lo, unsigned) — flow *indices* carry no meaning
+    5-tuple is packed into its (hi, lo) u64 halves (the one layout of
+    ``repro.traffic.packet._pack_halves``), one two-column ``lexsort``
+    orders the packets by pair, an adjacent-difference mask marks each
+    new flow, and its running count scattered back through the sort
+    order gives the per-packet flow ids.  The flow table is built from
+    the deduplicated halves directly.  Flow order is the pairs' sort
+    order (hi, then lo, unsigned) — flow *indices* carry no meaning
     anywhere downstream (identity is ``key64``), only the per-packet
     mapping matters.
     """
-    src = records["src_ip"].astype(np.uint64)
-    dst = records["dst_ip"].astype(np.uint64)
-    hi = (src << np.uint64(8)) | (dst >> np.uint64(24))
-    lo = (
-        ((dst & np.uint64(0xFFFFFF)) << np.uint64(40))
-        | (records["src_port"].astype(np.uint64) << np.uint64(24))
-        | (records["dst_port"].astype(np.uint64) << np.uint64(8))
-        | records["protocol"].astype(np.uint64)
+    hi, lo = _pack_halves(
+        records["src_ip"],
+        records["dst_ip"],
+        records["src_port"],
+        records["dst_port"],
+        records["protocol"],
     )
     order = np.lexsort((lo, hi))
     hi = hi[order]
@@ -79,18 +78,8 @@ def trace_from_records(records: np.ndarray, hash_seed: int = 0) -> Trace:
     new_flow[1:] = (hi[1:] != hi[:-1]) | (lo[1:] != lo[:-1])
     flow_ids = np.empty(len(order), dtype=np.int64)
     flow_ids[order] = np.cumsum(new_flow, dtype=np.int64) - 1
-    uhi = hi[new_flow]
-    ulo = lo[new_flow]
-    flows = FlowTable(
-        src_ip=(uhi >> np.uint64(8)).astype(np.uint32),
-        dst_ip=(
-            ((uhi & np.uint64(0xFF)) << np.uint64(24))
-            | (ulo >> np.uint64(40))
-        ).astype(np.uint32),
-        src_port=((ulo >> np.uint64(24)) & np.uint64(0xFFFF)).astype(np.uint16),
-        dst_port=((ulo >> np.uint64(8)) & np.uint64(0xFFFF)).astype(np.uint16),
-        protocol=(ulo & np.uint64(0xFF)).astype(np.uint8),
-        hash_seed=hash_seed,
+    flows = FlowTable.from_packed_halves(
+        hi[new_flow], lo[new_flow], hash_seed=hash_seed
     )
     return Trace(
         timestamps=records["timestamp"].astype(np.float64),

@@ -142,6 +142,14 @@ class ControlServer:
                     line = stream.readline(_MAX_LINE)
                     if not line:
                         return
+                    if len(line) == _MAX_LINE and not line.endswith(b"\n"):
+                        # The rest of the line would parse as a second
+                        # command: refuse the whole line and hang up.
+                        stream.write(
+                            f"err request line exceeds {_MAX_LINE} bytes\n".encode()
+                        )
+                        stream.flush()
+                        return
                     try:
                         reply = "ok " + json.dumps(
                             self._dispatch(line.decode("utf-8", "replace").strip())

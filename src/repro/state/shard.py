@@ -30,10 +30,20 @@ class ShardRouter:
         place: callable mapping a ``uint64`` key array to word indices —
             normally an :meth:`RCCSketch.place_array`-derived function.
             Use :meth:`for_config` to build one from an engine config.
+        place_flows: optional callable mapping a flow table to its flows'
+            word indices; defaults to ``place(flows.key64)``.
+            :meth:`for_config` passes the sketch's cached
+            :meth:`RCCSketch.place_flows`, which the shard engines then
+            reuse.
     """
 
     def __init__(
-        self, num_shards: int, num_words: int, place, cache_token=None
+        self,
+        num_shards: int,
+        num_words: int,
+        place,
+        cache_token=None,
+        place_flows=None,
     ) -> None:
         if num_shards < 1:
             raise ConfigurationError(
@@ -46,6 +56,7 @@ class ShardRouter:
         self.num_shards = num_shards
         self.num_words = num_words
         self._place = place
+        self._place_flows = place_flows or (lambda flows: place(flows.key64))
         #: Hashable identity of this router's routing function.  Two
         #: routers with equal tokens route identically, so cached split
         #: results (pinned on trace/flow objects) can be shared across
@@ -80,6 +91,10 @@ class ShardRouter:
             indices, _offsets = sketch.place_array(keys)
             return indices
 
+        def place_flows(flows) -> np.ndarray:
+            indices, _offsets = sketch.place_flows(flows)
+            return indices
+
         # Placement depends only on the sketch geometry + seed, so the
         # token captures exactly those knobs.
         token = (
@@ -89,7 +104,13 @@ class ShardRouter:
             config.saturation_fill,
             config.seed,
         )
-        return cls(num_shards, sketch.num_words, place, cache_token=token)
+        return cls(
+            num_shards,
+            sketch.num_words,
+            place,
+            cache_token=token,
+            place_flows=place_flows,
+        )
 
     def key_range(self, shard: int) -> "tuple[int, int]":
         """The word-index range ``[lo, hi)`` owned by ``shard``."""
@@ -114,20 +135,14 @@ class ShardRouter:
         return self.flow_shards(trace.flows)[trace.flow_ids]
 
     def flow_shards(self, flows) -> np.ndarray:
-        """Per-flow shard ids for a flow table, cached on the table.
+        """Per-flow shard ids for a flow table.
 
-        Every chunk of a stream shares one flow table, so the placement
-        hash runs once per (table, routing function), not once per chunk.
+        The placement underneath is cached on the table
+        (:meth:`RCCSketch.place_flows`), shared with the shard engines'
+        own layout pass, so a chunk's flows are hashed once whatever the
+        shard count.
         """
-        cache = getattr(flows, "_shard_flow_cache", None)
-        if cache is not None and cache[0] == self.cache_token:
-            return cache[1]
-        shards = self.shard_of_keys(flows.key64)
-        try:
-            flows._shard_flow_cache = (self.cache_token, shards)
-        except AttributeError:
-            pass  # exotic flow tables without a __dict__ just re-route
-        return shards
+        return self.shard_of_words(self._place_flows(flows))
 
     def split_chunk(self, chunk) -> "list[tuple]":
         """Route one pipeline chunk: per-shard sub-traces + global positions.
@@ -144,11 +159,17 @@ class ShardRouter:
         kept stream without touching the trace), so repeated runs over
         one chunk source reuse both the routing work and the sub-trace
         objects (keeping per-trace kernel caches warm).
+
+        A single shard owns every word, so it gets the chunk's own trace
+        and ``begin + arange``: no placement, sort or copy.
         """
         from repro.traffic.packet import Trace
 
         trace = chunk.trace
         begin = int(getattr(chunk, "begin", 0))
+        if self.num_shards == 1:
+            positions = np.arange(begin, begin + trace.num_packets, dtype=np.int64)
+            return [(trace, positions)]
         cache = getattr(trace, "_shard_split_cache", None)
         if cache is not None and cache[0] == (self.cache_token, begin):
             return cache[1]

@@ -57,6 +57,36 @@ class FiveTuple(NamedTuple):
         )
 
 
+def _pack_halves(
+    src_ip: np.ndarray,
+    dst_ip: np.ndarray,
+    src_port: np.ndarray,
+    dst_port: np.ndarray,
+    protocol: np.ndarray,
+) -> "tuple[np.ndarray, np.ndarray]":
+    """``(hi40, lo64)`` ``uint64`` halves of packed 104-bit 5-tuples.
+
+    The one home of :meth:`FiveTuple.packed`'s bit layout in array form:
+    ``packed == (hi << 64) | lo``, and ``lo ^ hi`` is the 64-bit fold
+    :meth:`FiveTuple.key64` hashes.
+    """
+    src = src_ip.astype(np.uint64)
+    dst = dst_ip.astype(np.uint64)
+    hi = (src << np.uint64(8)) | (dst >> np.uint64(24))
+    lo = (
+        ((dst & np.uint64(0xFFFFFF)) << np.uint64(40))
+        | (src_port.astype(np.uint64) << np.uint64(24))
+        | (dst_port.astype(np.uint64) << np.uint64(8))
+        | protocol.astype(np.uint64)
+    )
+    return hi, lo
+
+
+def _join_halves(hi: np.ndarray, lo: np.ndarray) -> "list[int]":
+    """Python-int packed 5-tuples from :func:`_pack_halves` halves."""
+    return [(high << 64) | low for high, low in zip(hi.tolist(), lo.tolist())]
+
+
 class FlowTable:
     """The distinct flows of a trace, stored columnar.
 
@@ -84,24 +114,46 @@ class FlowTable:
         self.dst_port = np.ascontiguousarray(dst_port, dtype=np.uint16)
         self.protocol = np.ascontiguousarray(protocol, dtype=np.uint8)
         self.hash_seed = hash_seed
-        self.key64 = self._compute_keys()
+        hi, lo = self._halves()
+        # Vectorized FiveTuple.key64: the seeded mixer over lo64 ^ hi40.
+        self.key64 = hash_u64_array(lo ^ hi, hash_seed)
         self._packed_tuples: "list[int] | None" = None
 
-    def _compute_keys(self) -> np.ndarray:
-        # Vectorized equivalent of FiveTuple.key64: fold the 104-bit packed
-        # tuple to 64 bits (low64 ^ high40), then the seeded mixer.
-        src = self.src_ip.astype(np.uint64)
-        dst = self.dst_ip.astype(np.uint64)
-        high40 = ((src << np.uint64(8)) | (dst >> np.uint64(24))) & np.uint64(
-            (1 << 40) - 1
+    @classmethod
+    def from_packed_halves(
+        cls, hi: np.ndarray, lo: np.ndarray, hash_seed: int = 0
+    ) -> "FlowTable":
+        """Build a table from :func:`_pack_halves` halves.
+
+        Hashes the halves directly instead of re-packing the unpacked
+        columns, so a parser that deduplicated on the halves pays for
+        the packing once.
+        """
+        table = cls.__new__(cls)
+        table.src_ip = (hi >> np.uint64(8)).astype(np.uint32)
+        table.dst_ip = (
+            ((hi & np.uint64(0xFF)) << np.uint64(24)) | (lo >> np.uint64(40))
+        ).astype(np.uint32)
+        table.src_port = ((lo >> np.uint64(24)) & np.uint64(0xFFFF)).astype(
+            np.uint16
         )
-        low64 = (
-            ((dst & np.uint64(0xFFFFFF)) << np.uint64(40))
-            | (self.src_port.astype(np.uint64) << np.uint64(24))
-            | (self.dst_port.astype(np.uint64) << np.uint64(8))
-            | self.protocol.astype(np.uint64)
+        table.dst_port = ((lo >> np.uint64(8)) & np.uint64(0xFFFF)).astype(
+            np.uint16
         )
-        return hash_u64_array(low64 ^ high40, self.hash_seed)
+        table.protocol = (lo & np.uint64(0xFF)).astype(np.uint8)
+        table.hash_seed = hash_seed
+        table.key64 = hash_u64_array(lo ^ hi, hash_seed)
+        table._packed_tuples = None
+        return table
+
+    def _halves(self, index=slice(None)) -> "tuple[np.ndarray, np.ndarray]":
+        return _pack_halves(
+            self.src_ip[index],
+            self.dst_ip[index],
+            self.src_port[index],
+            self.dst_port[index],
+            self.protocol[index],
+        )
 
     def __len__(self) -> int:
         return len(self.src_ip)
@@ -117,28 +169,25 @@ class FlowTable:
         )
 
     def packed_tuples(self) -> "list[int]":
-        """Per-flow 104-bit packed 5-tuples (:meth:`FiveTuple.packed`).
+        """Every flow's 104-bit packed 5-tuple (:meth:`FiveTuple.packed`).
 
-        Computed lazily and cached on the table: engines store these in
-        WSAF records on every insertion, and a trace is typically processed
-        many times (sweeps, repeated engines), so the list comprehension
-        should run once per flow table, not once per run.
+        Computed lazily and cached on the table.  Only the scalar engine
+        reads the whole list (it stores a tuple in the WSAF record of
+        each insertion as it goes); the batched kernel packs just its
+        insertion events' flows through :meth:`packed_tuples_at`.
         """
         if self._packed_tuples is None:
-            src = self.src_ip.tolist()
-            dst = self.dst_ip.tolist()
-            sport = self.src_port.tolist()
-            dport = self.dst_port.tolist()
-            proto = self.protocol.tolist()
-            self._packed_tuples = [
-                src[i] << 72
-                | dst[i] << 40
-                | sport[i] << 24
-                | dport[i] << 8
-                | proto[i]
-                for i in range(len(src))
-            ]
+            self._packed_tuples = _join_halves(*self._halves())
         return self._packed_tuples
+
+    def packed_tuples_at(self, flow_ids: np.ndarray) -> "list[int]":
+        """Packed 5-tuples of the flows at ``flow_ids`` (repeats allowed).
+
+        Equal to ``[packed_tuples()[i] for i in flow_ids]`` but vectorized
+        and uncached, so the cost scales with the ids asked for, not with
+        the table.
+        """
+        return _join_halves(*self._halves(flow_ids))
 
     def __iter__(self) -> Iterator[FiveTuple]:
         for index in range(len(self)):

@@ -347,6 +347,20 @@ class TestControlServer:
         ok, message = send_command(address, "snapshot")
         assert not ok and "checkpoint" in message
 
+    def test_overlong_line_gets_one_error_and_a_hangup(self, served):
+        import socket
+
+        _daemon, address = served
+        # The first 4096 bytes alone are a valid "ping"; the tail must not
+        # run as a second command.
+        line = b"ping " + b"x" * 5_000 + b"\n"
+        with socket.create_connection(address, timeout=10.0) as conn:
+            conn.sendall(line)
+            with conn.makefile("rb") as stream:
+                replies = stream.read().splitlines()
+        assert len(replies) == 1
+        assert replies[0].startswith(b"err ") and b"exceeds" in replies[0]
+
     def test_snapshot_with_store(self, capture, tmp_path):
         daemon = _run_daemon(
             MeasurementDaemon(
