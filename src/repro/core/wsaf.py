@@ -96,13 +96,8 @@ class WSAFTable:
         # Parallel columns; key 0 in an unoccupied slot is the empty marker.
         # ``_occupied`` answers per-slot probes; ``_occupied_slots`` mirrors
         # it as a set so snapshots/sweeps are O(size), not O(num_entries).
-        self._occupied = [False] * num_entries
+        self._allocate_columns(num_entries)
         self._occupied_slots: "set[int]" = set()
-        self._keys = [0] * num_entries
-        self._packets = [0.0] * num_entries
-        self._bytes = [0.0] * num_entries
-        self._timestamps = [0.0] * num_entries
-        self._chance = [False] * num_entries
         self._tuples: "list[int | None]" = [None] * num_entries
 
         self.size = 0
@@ -111,6 +106,19 @@ class WSAFTable:
         self.evictions = 0
         self.gc_reclaimed = 0
         self.rejected = 0
+
+    def _allocate_columns(self, num_entries: int) -> None:
+        """Allocate the fixed-width record columns (all but ``_tuples``).
+
+        Python lists here; the array-backed subclass overrides this so a
+        large table never builds list columns it would throw away.
+        """
+        self._occupied = [False] * num_entries
+        self._keys = [0] * num_entries
+        self._packets = [0.0] * num_entries
+        self._bytes = [0.0] * num_entries
+        self._timestamps = [0.0] * num_entries
+        self._chance = [False] * num_entries
 
     # -- probing -----------------------------------------------------------
 

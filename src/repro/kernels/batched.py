@@ -15,15 +15,21 @@ loop, built on two structural facts about the 2-layer FlowRegulator:
   (:mod:`repro.kernels.luts`) indexed by interned byte values, and the hot
   loop advances two or four packets per lookup through the pair or quad
   table.
+* **One-packet saturations.**  A stretch of one packet that fails its
+  live screen saturates at that packet, and the screen's own popcount is
+  its noise level; its L2 step is one more OR and popcount on the same
+  word.  On churny traffic most contested stretches are one packet long,
+  so a screening round commits them as arrays instead of replaying each
+  (:func:`_saturate_single_packets`).
 
 Pipeline per chunk: vectorized gathers (placement, pre-drawn bit choices)
 → stable sort by word → word-level saturation screen (``np.bitwise_or.
 reduceat`` of the candidate bits plus a popcount: a word whose
 OR-accumulated candidate state cannot saturate any of its windows commits
-in O(1)) → vectorized screening rounds over the remaining stretches →
-quad- or pair-LUT replay of the contested stretches → insertion events
-handed to the WSAF once per chunk, in packet order (see
-:func:`process_trace_batched`).
+in O(1)) → vectorized screening rounds over the remaining stretches, with
+one-packet saturations committed as arrays → quad- or pair-LUT replay of
+the contested multi-packet stretches → insertion events handed to the
+WSAF once per chunk, in packet order (see :func:`process_trace_batched`).
 
 Randomness is drawn exactly as the scalar path draws it (same generator,
 same sizes, same order), so every sketch word, counter, and WSAF record
@@ -46,10 +52,14 @@ _LAYOUT_ATTR = "_batched_layout"
 _STREAM_ATTR = "_delegated_streams"
 
 #: Bumped when the layout dict layout changes, to invalidate stale caches.
-_LAYOUT_VERSION = 3
+_LAYOUT_VERSION = 4
 
 #: Default packets per kernel chunk (one chunk for most lab traces).
 DEFAULT_CHUNK_SIZE = 1 << 20
+
+#: Failing one-packet stretches a screening round needs before it
+#: saturates them as arrays; below this the per-stretch replay is cheaper.
+_ARRAY_SINGLES_MIN = 24
 
 
 def clear_kernel_caches(trace) -> None:
@@ -142,6 +152,7 @@ def _chunk_layouts(trace, l1, chunk_size: int) -> "list[dict]":
         head_offsets = sorted_offsets[reduce_starts]
         order_dtype = np.int32 if trace.num_packets <= (1 << 31) - 1 else np.int64
         ends_arr = np.append(reduce_starts[1:], span)
+        single = (ends_arr - reduce_starts) == 1
         stretch_words = sorted_words[reduce_starts].astype(np.int64)
         # Stretches sorted by (word, offset) group same-word stretches into
         # contiguous *word runs* — the unit of the vectorized word-level
@@ -165,6 +176,7 @@ def _chunk_layouts(trace, l1, chunk_size: int) -> "list[dict]":
                 words=stretch_words.tolist(),
                 offsets=head_offsets.tolist(),
                 offsets_arr=head_offsets.astype(np.uint64),
+                single=single,
                 word_run_starts=word_run_starts,
                 word_run_lengths=word_run_lengths,
                 word_run_heads=stretch_words[word_run_starts],
@@ -329,6 +341,60 @@ def _delegate_chunk_events(
         )
 
 
+def _saturate_single_packets(
+    sids,
+    wids,
+    merged,
+    fill,
+    words_np,
+    l2_words,
+    layout,
+    stretch_windows,
+    b2_np,
+    vector_bits: int,
+    word_bits: int,
+    sat_bits: int,
+) -> "tuple":
+    """Saturate one screening round's failing one-packet stretches at once.
+
+    A one-packet stretch that fails its live screen saturates at that
+    packet: ``merged`` (word | the packet's bit) fills its window with
+    ``fill >= sat_bits`` bits, so the noise level is ``vector_bits -
+    fill`` and the window recycles.  The packet then takes its L2 bit
+    into bank ``z`` at the same word through the same OR/popcount test.
+    Every lane owns a distinct word, so the commits are single scatters
+    (the L2 banks are Python lists, gathered and written back per lane).
+
+    Returns ``(positions, z, z2)`` of the L2 saturations (the WSAF
+    events) and the per-bank count of encoded packets.
+    """
+    windows = stretch_windows[sids]
+    keep = ~windows
+    words_np[wids] = merged & keep
+    noise = vector_bits - fill
+    positions = layout["reduce_starts"][sids]
+    shifts = b2_np[positions] + layout["offsets_arr"][sids]
+    banks = noise.tolist()
+    lanes = wids.tolist()
+    merged2 = np.fromiter(
+        (l2_words[z][w] for z, w in zip(banks, lanes)),
+        dtype=np.uint64,
+        count=len(lanes),
+    ) | np.left_shift(np.uint64(1), shifts % np.uint64(word_bits))
+    fill2 = np.bitwise_count(merged2 & windows)
+    saturated = fill2 >= sat_bits
+    for z, w, value in zip(
+        banks, lanes, np.where(saturated, merged2 & keep, merged2).tolist()
+    ):
+        l2_words[z][w] = value
+    return (
+        positions[saturated],
+        noise[saturated],
+        vector_bits - fill2[saturated],
+        np.bincount(noise, minlength=len(l2_words)),
+    )
+
+
 def process_trace_batched(
     engine,
     trace,
@@ -367,7 +433,9 @@ def process_trace_batched(
       word state (words are mutually independent and each word contributes
       one stretch per round, so passing candidates commit as one array
       scatter).  Only stretches whose live screen fails — the ones that
-      can truly saturate — drop into the FSM replay.
+      can truly saturate — drop into the FSM replay, and of those the
+      one-packet stretches saturate as arrays when a round has at least
+      :data:`_ARRAY_SINGLES_MIN` of them.
     * **Quad FSM steps.**  With ``saturation_bits >= 4`` a four-packet
       block saturates at most once (a recycled window plus three more
       packets cannot reach the threshold again), so the replay advances
@@ -807,7 +875,6 @@ def process_trace_batched(
                                 event_pos.append(a)
                                 event_z.append(z)
                                 event_z2.append(nxt2 - sen)
-                                l2_saturated[z] += 1
                                 l2_states[z] = 0
                             else:
                                 l2_states[z] = nxt2
@@ -846,7 +913,6 @@ def process_trace_batched(
                             event_pos.append(j)
                             event_z.append(z)
                             event_z2.append(nxt2 - sen)
-                            l2_saturated[z] += 1
                             l2_states[z] = 0
                         else:
                             l2_states[z] = nxt2
@@ -867,7 +933,6 @@ def process_trace_batched(
                                     event_pos.append(j)
                                     event_z.append(z)
                                     event_z2.append(nxt2 - sen)
-                                    l2_saturated[z] += 1
                                     l2_states[z] = 0
                                 else:
                                     l2_states[z] = nxt2
@@ -896,7 +961,6 @@ def process_trace_batched(
                                 event_pos.append(pair_end)
                                 event_z.append(z)
                                 event_z2.append(nxt2 - sen)
-                                l2_saturated[z] += 1
                                 l2_states[z] = 0
                             else:
                                 l2_states[z] = nxt2
@@ -921,21 +985,53 @@ def process_trace_batched(
             # pointer only advances after the stretch committed or
             # replayed); cross-word order is free because words are
             # independent and events are re-sorted by packet position
-            # before delegation.
+            # before delegation.  A failing one-packet stretch saturates
+            # at its packet, so those lanes commit as arrays as well
+            # (_saturate_single_packets); multi-packet stretches replay.
             fail_runs = np.flatnonzero(~word_ok)
             ptr = word_run_starts[fail_runs].copy()
             run_end = ptr + word_run_lengths[fail_runs]
             run_wid = word_run_heads[fail_runs]
             active = np.arange(fail_runs.size)
+            single = layout["single"]
+            b2_np = np.frombuffer(b2s, dtype=np.uint8)
             while active.size > 32:
                 sidx = ptr[active]
-                cand = words_np[run_wid[active]] | rotated_or_np[sidx]
-                okv = (
-                    np.bitwise_count(cand & stretch_windows[sidx]) < sat_bits
-                )
-                words_np[run_wid[active][okv]] = cand[okv]
-                if not okv.all():
-                    for sid in sidx[~okv].tolist():
+                wids = run_wid[active]
+                cand = words_np[wids] | rotated_or_np[sidx]
+                fill = np.bitwise_count(cand & stretch_windows[sidx])
+                okv = fill < sat_bits
+                words_np[wids[okv]] = cand[okv]
+                failed = okv.size - np.count_nonzero(okv)
+                if failed:
+                    fail = ~okv
+                    # ``failed`` bounds the one-packet lanes from above.
+                    if failed >= _ARRAY_SINGLES_MIN:
+                        one = fail & single[sidx]
+                        if np.count_nonzero(one) >= _ARRAY_SINGLES_MIN:
+                            *events, encoded = _saturate_single_packets(
+                                sidx[one],
+                                wids[one],
+                                cand[one],
+                                fill[one],
+                                words_np,
+                                l2_words,
+                                layout,
+                                stretch_windows,
+                                b2_np,
+                                vector_bits,
+                                word_bits,
+                                sat_bits,
+                            )
+                            for column, values in zip(
+                                (event_pos, event_z, event_z2), events
+                            ):
+                                column.extend(values.tolist())
+                            l1_saturations += int(encoded.sum())
+                            for z, count in enumerate(encoded.tolist()):
+                                l2_encoded[z] += count
+                            fail &= ~one
+                    for sid in sidx[fail].tolist():
                         l1_saturations += replay(sid)
                 ptr[active] += 1
                 active = active[ptr[active] < run_end[active]]
@@ -955,11 +1051,9 @@ def process_trace_batched(
                         word = int(words_np[w])
                 words_np[w] = word
 
-            if use_quad:
-                # The quad replay appends events inline; the pair replay
-                # bumps l2_saturated itself.
-                for z in event_z:
-                    l2_saturated[z] += 1
+            # Every L2 saturation is one event.
+            for z in event_z:
+                l2_saturated[z] += 1
 
         words[:] = words_np.tolist()
 

@@ -80,19 +80,22 @@ class BatchedWSAFTable(WSAFTable):
             accountant=accountant,
             eviction_policy=eviction_policy,
         )
-        # Replace the list columns with a struct-of-arrays layout.  The
-        # packed 5-tuple stays a Python list: it is a 104-bit integer (or
-        # None), which no fixed-width dtype holds.
+        #: Triangular probe offsets (i + i²)/2 for the whole window.
+        self._tri = np.array(
+            [(i + i * i) >> 1 for i in range(self.probe_limit)], dtype=np.uint64
+        )
+
+    def _allocate_columns(self, num_entries: int) -> None:
+        # A struct-of-arrays layout.  ``np.zeros`` pages become resident
+        # only once touched, so a large, sparsely filled table stays small.
+        # The packed 5-tuple stays the inherited Python list: it is a
+        # 104-bit integer (or None), which no fixed-width dtype holds.
         self._occupied = np.zeros(num_entries, dtype=bool)
         self._keys = np.zeros(num_entries, dtype=np.uint64)
         self._packets = np.zeros(num_entries, dtype=np.float64)
         self._bytes = np.zeros(num_entries, dtype=np.float64)
         self._timestamps = np.zeros(num_entries, dtype=np.float64)
         self._chance = np.zeros(num_entries, dtype=bool)
-        #: Triangular probe offsets (i + i²)/2 for the whole window.
-        self._tri = np.array(
-            [(i + i * i) >> 1 for i in range(self.probe_limit)], dtype=np.uint64
-        )
 
     # -- batched accumulation ----------------------------------------------
 

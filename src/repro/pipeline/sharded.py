@@ -721,8 +721,12 @@ class ShardedStreamingMeasurer:
 
         if not snapshots:
             raise ConfigurationError("cannot restore from zero shard snapshots")
-        config = snapshots[0].engine_config()
-        measurer = cls(config, num_shards=len(snapshots), accountant=accountant)
+        # Only the restored engines are built: a fresh engine per shard
+        # would allocate a full WSAF just to be thrown away.
+        measurer = cls.__new__(cls)
+        measurer.config = snapshots[0].engine_config()
+        measurer.num_shards = len(snapshots)
+        measurer.router = ShardRouter.for_config(measurer.config, len(snapshots))
         measurer.engines = [
             InstaMeasure.from_snapshot(snapshot, accountant=accountant)
             for snapshot in snapshots

@@ -50,19 +50,45 @@ DEFAULT_STREAM_CHUNK = 8192
 
 _EMPTY = np.empty(0, dtype=RECORD_DTYPE)
 
+#: First wait after an empty read; later waits double up to the source's
+#: ``poll_interval``.
+_FIRST_POLL_WAIT = 0.001
+
+#: Records per block up to which the hi half and lo's rank share one key.
+_NARROW_KEY_RECORDS = 1 << 24
+
+
+def _dense_rank(values: np.ndarray) -> np.ndarray:
+    """Each value's rank among the distinct values (ties share a rank),
+    from one unstable argsort."""
+    order = np.argsort(values)
+    ordered = values[order]
+    step = np.empty(len(values), dtype=np.uint64)
+    if len(values):
+        step[0] = 0
+        np.not_equal(ordered[1:], ordered[:-1], out=step[1:])
+    rank = np.empty(len(values), dtype=np.uint64)
+    rank[order] = np.cumsum(step, dtype=np.uint64)
+    return rank
+
+
 def trace_from_records(records: np.ndarray, hash_seed: int = 0) -> Trace:
     """Columnar trace from a block of pcap-lite records.
 
     Flows are deduplicated vectorized (no Python loop over packets): the
     5-tuple is packed into its (hi, lo) u64 halves (the one layout of
-    ``repro.traffic.packet._pack_halves``), one two-column ``lexsort``
-    orders the packets by pair, an adjacent-difference mask marks each
-    new flow, and its running count scattered back through the sort
-    order gives the per-packet flow ids.  The flow table is built from
-    the deduplicated halves directly.  Flow order is the pairs' sort
-    order (hi, then lo, unsigned) — flow *indices* carry no meaning
-    anywhere downstream (identity is ``key64``), only the per-packet
-    mapping matters.
+    ``repro.traffic.packet._pack_halves``) and folded into one ``uint64``
+    sort key that orders exactly like the pair (hi, then lo, unsigned).
+    ``hi`` has 40 bits, so while a block holds at most 2^24 records the
+    key is ``hi << 24 | rank(lo)``, with ``rank`` the dense rank among
+    the block's distinct values (one unstable argsort); a larger block
+    uses ``rank(hi) << 32 | rank(lo)``.  One unstable argsort of the key
+    orders the packets, an adjacent-difference mask marks each new flow,
+    and its running count scattered back through the sort order gives
+    the per-packet flow ids.  The flow table is built from each flow's
+    first packet in that order.  Flow order is the pairs' sort order —
+    flow *indices* carry no meaning anywhere downstream (identity is
+    ``key64``), only the per-packet mapping matters.
     """
     hi, lo = _pack_halves(
         records["src_ip"],
@@ -71,16 +97,19 @@ def trace_from_records(records: np.ndarray, hash_seed: int = 0) -> Trace:
         records["dst_port"],
         records["protocol"],
     )
-    order = np.lexsort((lo, hi))
-    hi = hi[order]
-    lo = lo[order]
-    new_flow = np.ones(len(order), dtype=bool)
-    new_flow[1:] = (hi[1:] != hi[:-1]) | (lo[1:] != lo[:-1])
-    flow_ids = np.empty(len(order), dtype=np.int64)
+    n = len(records)
+    if n <= _NARROW_KEY_RECORDS:
+        key = (hi << np.uint64(24)) | _dense_rank(lo)
+    else:
+        key = (_dense_rank(hi) << np.uint64(32)) | _dense_rank(lo)
+    order = np.argsort(key)
+    key = key[order]
+    new_flow = np.ones(n, dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=new_flow[1:])
+    flow_ids = np.empty(n, dtype=np.int64)
     flow_ids[order] = np.cumsum(new_flow, dtype=np.int64) - 1
-    flows = FlowTable.from_packed_halves(
-        hi[new_flow], lo[new_flow], hash_seed=hash_seed
-    )
+    first = order[new_flow]
+    flows = FlowTable.from_packed_halves(hi[first], lo[first], hash_seed=hash_seed)
     return Trace(
         timestamps=records["timestamp"].astype(np.float64),
         flow_ids=flow_ids,
@@ -94,8 +123,9 @@ class StreamingChunkSource(ChunkSource):
 
     Subclasses implement ``_open()``, ``_close()``, and
     ``_read_more() -> np.ndarray | None`` — an empty array means
-    "nothing *yet*" (the base waits ``poll_interval`` and retries),
-    ``None`` means the stream definitively ended.
+    "nothing *yet*" (the base waits and retries: 1 ms first, doubling
+    up to at most ``poll_interval``, and back to 1 ms once records
+    arrive), ``None`` means the stream definitively ended.
 
     ``start_time`` fixes the epoch origin up front (recovery override);
     otherwise the first record's timestamp becomes epoch 0's start.
@@ -206,6 +236,8 @@ class StreamingChunkSource(ChunkSource):
         pending = _EMPTY
         consumed = self._start_offset
         index = 0
+        first_wait = min(_FIRST_POLL_WAIT, self.poll_interval)
+        wait = first_wait
         try:
             ended = False
             while not ended and not self._stop.is_set():
@@ -213,6 +245,7 @@ class StreamingChunkSource(ChunkSource):
                 if block is None:
                     ended = True
                 elif len(block):
+                    wait = first_wait
                     if self.start_time is None:
                         self.start_time = float(block["timestamp"][0])
                     pending = (
@@ -221,7 +254,8 @@ class StreamingChunkSource(ChunkSource):
                         else np.array(block)
                     )
                 else:
-                    self._stop.wait(self.poll_interval)
+                    self._stop.wait(wait)
+                    wait = min(2 * wait, self.poll_interval)
                     continue
                 while True:
                     cut = self._cut_ready(pending, flush=False, position=consumed)
@@ -249,9 +283,9 @@ class PacketRecordChunkSource(StreamingChunkSource):
     Without ``follow``, iteration ends at the current end of file — the
     batch shape, but streamed in bounded blocks rather than materialized
     whole.  With ``follow``, end of file just means "no records yet":
-    the source polls (every ``poll_interval`` seconds) for appended
-    records until :meth:`stop` is called, tolerating a partially
-    flushed trailing record mid-append.
+    the source polls (waiting at most ``poll_interval`` seconds between
+    reads) for appended records until :meth:`stop` is called, tolerating
+    a partially flushed trailing record mid-append.
 
     ``start_record`` skips that many records first (and numbers emitted
     packets from there), which with the ``start_time`` epoch-origin

@@ -68,6 +68,12 @@ class ShardRouter:
             if cache_token is not None
             else (num_shards, num_words, id(self))
         )
+        #: Narrowest dtype that holds a shard id (see :meth:`split_chunk`).
+        self._id_dtype = (
+            np.uint8
+            if num_shards <= 1 << 8
+            else np.uint16 if num_shards <= 1 << 16 else np.int64
+        )
         #: Range boundaries: shard s owns words [bounds[s], bounds[s+1]).
         self.bounds = np.array(
             [round(s * num_words / num_shards) for s in range(num_shards + 1)],
@@ -173,7 +179,11 @@ class ShardRouter:
         cache = getattr(trace, "_shard_split_cache", None)
         if cache is not None and cache[0] == (self.cache_token, begin):
             return cache[1]
-        assignment = self.flow_shards(trace.flows)[trace.flow_ids]
+        # Narrow the shard ids per flow before the per-packet gather: a
+        # stable sort of 8- or 16-bit keys is NumPy's radix sort.
+        assignment = self.flow_shards(trace.flows).astype(self._id_dtype)[
+            trace.flow_ids
+        ]
         # Stable sort by shard: within a shard, packets keep ascending
         # chunk order, so positions stay ascending and per-flow order is
         # the global one.

@@ -304,3 +304,66 @@ class TestResultSemantics:
         }
         assert table._occupied_slots == expected
         assert len(list(table.entries())) == table.size == len(expected)
+
+
+def _churn_trace(num_flows: int, num_packets: int, seed: int):
+    """Many short flows in random order: most stretches are one packet."""
+    from repro.traffic.packet import FlowTable, Trace
+
+    rng = np.random.default_rng(seed)
+    flows = FlowTable(
+        src_ip=rng.integers(0, 1 << 32, num_flows, dtype=np.uint32),
+        dst_ip=rng.integers(0, 1 << 32, num_flows, dtype=np.uint32),
+        src_port=rng.integers(0, 1 << 16, num_flows, dtype=np.uint16),
+        dst_port=rng.integers(0, 1 << 16, num_flows, dtype=np.uint16),
+        protocol=np.full(num_flows, 6, dtype=np.uint8),
+    )
+    return Trace(
+        timestamps=np.sort(rng.random(num_packets)) * 10.0,
+        flow_ids=rng.integers(0, num_flows, num_packets).astype(np.int64),
+        sizes=rng.integers(40, 1500, num_packets).astype(np.int64),
+        flows=flows,
+    )
+
+
+class TestDenseL1OnePacketSaturations:
+    """A tiny L1 under many one-packet flows: screening rounds with more
+    than 32 failing words, most of them one-packet lanes that saturate as
+    arrays (``_saturate_single_packets``)."""
+
+    @pytest.fixture(scope="class")
+    def churn(self):
+        return _churn_trace(num_flows=20_000, num_packets=60_000, seed=5)
+
+    @pytest.mark.parametrize(
+        "geometry",
+        [
+            dict(),  # quad replay: 6 of 8 bits saturate
+            dict(saturation_fill=0.375),  # pair replay: 3 of 8 bits
+            dict(vector_bits=4, saturation_fill=0.5),  # pair replay: 2 of 4
+        ],
+        ids=["quad", "pair", "pair-v4"],
+    )
+    @pytest.mark.parametrize("chunk_size", [1000, 8192, 1 << 20])
+    def test_matches_scalar(self, churn, monkeypatch, geometry, chunk_size):
+        import repro.kernels.batched as batched
+
+        lanes = []
+        saturate = batched._saturate_single_packets
+
+        def counting(sids, *args):
+            lanes.append(len(sids))
+            return saturate(sids, *args)
+
+        monkeypatch.setattr(batched, "_saturate_single_packets", counting)
+        config = _config(l1_memory_bytes=1024, chunk_size=chunk_size, **geometry)
+        scalar_engine, scalar_result = _run(churn, replace_engine(config, "scalar"))
+        batched_engine, batched_result = _run(
+            churn, replace_engine(config, "batched")
+        )
+        assert sum(lanes) > 1000, "the one-packet array path did not run"
+        assert scalar_result.insertions == batched_result.insertions > 0
+        _assert_identical(scalar_engine, batched_engine)
+        assert list(scalar_engine.wsaf.entries()) == list(
+            batched_engine.wsaf.entries()
+        )

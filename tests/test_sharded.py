@@ -15,6 +15,8 @@ chunk sequence, error propagation, and re-iterability.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -27,8 +29,10 @@ from repro.pipeline import (
     TraceChunkSource,
     run_sharded,
 )
-from repro.pipeline.sharded import _fork_available
+from repro.kernels.wsaf_batched import BatchedWSAFTable
+from repro.pipeline.sharded import ShardedStreamingMeasurer, _fork_available
 from repro.state import ShardRouter
+from repro.state.codec import to_bytes
 from repro.traffic import CaidaLikeConfig, build_caida_like_trace
 
 
@@ -88,6 +92,80 @@ class TestShardRouter:
         router = ShardRouter.for_config(_config(), 2)
         with pytest.raises(ConfigurationError):
             router.key_range(2)
+
+
+def _timeless_bytes(measurer) -> "list[bytes]":
+    """Per-shard snapshot bytes with the wall-clock cursor field zeroed."""
+    return [
+        to_bytes(replace(s, stream=replace(s.stream, elapsed=0.0)))
+        for s in measurer.snapshot_shards()
+    ]
+
+
+class TestRestoreAndAllocation:
+    def test_from_snapshots_builds_only_the_restored_engines(
+        self, trace, monkeypatch
+    ):
+        chunks = list(TraceChunkSource(trace, chunk_size=3_000))
+        measurer = ShardedStreamingMeasurer(_config(), num_shards=3)
+        for chunk in chunks[:2]:
+            measurer.ingest(chunk)
+        snapshots = measurer.snapshot_shards()
+
+        built = []
+        init = InstaMeasure.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(InstaMeasure, "__init__", counting_init)
+        restored = ShardedStreamingMeasurer.from_snapshots(snapshots)
+        assert len(built) == len(snapshots)
+        assert restored.engines == built
+        assert restored.router.cache_token == measurer.router.cache_token
+        # The restored measurer resumes bit-identically.
+        for chunk in chunks[2:]:
+            measurer.ingest(chunk)
+            restored.ingest(chunk)
+        assert restored.estimates() == measurer.estimates()
+        assert _timeless_bytes(restored) == _timeless_bytes(measurer)
+
+    def test_batched_wsaf_builds_no_list_column_but_tuples(self):
+        import tracemalloc
+
+        num_entries = 1 << 20
+        BatchedWSAFTable(16)  # import-time and first-call allocations
+        tracemalloc.start()
+        try:
+            table = BatchedWSAFTable(num_entries)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        columns = (
+            table._occupied,
+            table._keys,
+            table._packets,
+            table._bytes,
+            table._timestamps,
+            table._chance,
+        )
+        assert all(isinstance(column, np.ndarray) for column in columns)
+        assert isinstance(table._tuples, list)
+        expected = sum(column.nbytes for column in columns) + 8 * num_entries
+        # One more 2^20-slot list column (8-byte pointers) breaks the bound.
+        assert peak < expected + 8 * num_entries
+
+    @pytest.mark.parametrize("num_shards", [2, 300])
+    def test_split_chunk_matches_an_int64_stable_sort(self, trace, num_shards):
+        router = ShardRouter(
+            num_shards, 4_096, lambda keys: (keys % np.uint64(4_096)).astype(np.int64)
+        )
+        chunk = next(iter(TraceChunkSource(trace, chunk_size=5_000)))
+        assignment = router.shard_of_keys(trace.flows.key64)[trace.flow_ids[:5_000]]
+        order = np.argsort(assignment.astype(np.int64), kind="stable")
+        got = np.concatenate([positions for _sub, positions in router.split_chunk(chunk)])
+        np.testing.assert_array_equal(got, order)
 
 
 class TestShardedEquivalence:

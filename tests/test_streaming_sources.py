@@ -15,6 +15,7 @@ import os
 import socket
 import threading
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from repro.pipeline import (
     TraceChunkSource,
     trace_from_records,
 )
+from repro.pipeline import streaming
 from repro.traffic import (
     CaidaLikeConfig,
     FlowTable,
@@ -149,6 +151,27 @@ def _reference_trace(records: np.ndarray, hash_seed: int) -> Trace:
     )
 
 
+def _assert_matches_reference(records: np.ndarray) -> None:
+    rebuilt = trace_from_records(records, hash_seed=7)
+    want = _reference_trace(records, hash_seed=7)
+    assert rebuilt.flow_ids.dtype == np.int64
+    np.testing.assert_array_equal(rebuilt.flow_ids, want.flow_ids)
+    for column in (
+        "src_ip",
+        "dst_ip",
+        "src_port",
+        "dst_port",
+        "protocol",
+        "key64",
+    ):
+        got = getattr(rebuilt.flows, column)
+        expected = getattr(want.flows, column)
+        assert got.dtype == expected.dtype, column
+        np.testing.assert_array_equal(got, expected, err_msg=column)
+    np.testing.assert_array_equal(rebuilt.timestamps, want.timestamps)
+    np.testing.assert_array_equal(rebuilt.sizes, want.sizes)
+
+
 class TestTraceFromRecords:
     def test_round_trips_packets_and_flows(self, trace, capture):
         with PacketRecordReader(capture) as reader:
@@ -174,24 +197,34 @@ class TestTraceFromRecords:
     @example(records=_records([(0xC0A80001, 0x0A000001, 443, 51000, 6)] * 9))
     @settings(max_examples=150, deadline=None)
     def test_matches_structured_unique_reference(self, records):
-        rebuilt = trace_from_records(records, hash_seed=7)
-        want = _reference_trace(records, hash_seed=7)
-        assert rebuilt.flow_ids.dtype == np.int64
-        np.testing.assert_array_equal(rebuilt.flow_ids, want.flow_ids)
-        for column in (
-            "src_ip",
-            "dst_ip",
-            "src_port",
-            "dst_port",
-            "protocol",
-            "key64",
-        ):
-            got = getattr(rebuilt.flows, column)
-            expected = getattr(want.flows, column)
-            assert got.dtype == expected.dtype, column
-            np.testing.assert_array_equal(got, expected, err_msg=column)
-        np.testing.assert_array_equal(rebuilt.timestamps, want.timestamps)
-        np.testing.assert_array_equal(rebuilt.sizes, want.sizes)
+        _assert_matches_reference(records)
+
+    @given(records=_record_blocks())
+    @example(records=np.empty(0, dtype=RECORD_DTYPE))
+    @example(records=_records([(1, 2, 3, 4, 6)]))
+    @settings(max_examples=100, deadline=None)
+    def test_wide_block_key_matches_reference(self, records):
+        """Blocks past 2^24 records key on both halves' ranks; lowering
+        the limit runs that branch on small blocks."""
+        with mock.patch.object(streaming, "_NARROW_KEY_RECORDS", 0):
+            _assert_matches_reference(records)
+
+    @pytest.mark.parametrize("narrow_limit", [1 << 24, 0], ids=["narrow", "wide"])
+    def test_large_block_matches_reference(self, narrow_limit):
+        rng = np.random.default_rng(3)
+        base = rng.integers(0, 1 << 32, size=(3_000, 2), dtype=np.uint64)
+        # Siblings sharing the hi half (source + destination top byte)
+        # and siblings sharing the lo half, interleaved at random.
+        src = np.concatenate([base[:, 0], base[:, 0], base[::-1, 0]])
+        dst = np.concatenate(
+            [base[:, 1], base[:, 1] ^ 0x00ABCDEF, base[:, 1] ^ 0x5A000000]
+        )
+        picks = rng.integers(0, len(src), size=40_000)
+        tuples = [
+            (int(src[i]), int(dst[i]), 80, 443, 6) for i in picks.tolist()
+        ]
+        with mock.patch.object(streaming, "_NARROW_KEY_RECORDS", narrow_limit):
+            _assert_matches_reference(_records(tuples))
 
 
 class TestPacketRecordChunkSource:
@@ -299,6 +332,59 @@ class TestPacketRecordChunkSource:
             PacketRecordChunkSource(capture, epoch_seconds=0.0)
         with pytest.raises(ConfigurationError):
             PacketRecordChunkSource(capture, start_record=-1)
+
+
+class _ScriptedSource(streaming.StreamingChunkSource):
+    """Serves a fixed list of reads (``None`` ends the stream)."""
+
+    def __init__(self, reads, **kwargs) -> None:
+        super().__init__(chunk_size=4, **kwargs)
+        self._reads = list(reads)
+
+    def _open(self) -> None:
+        pass
+
+    def _close(self) -> None:
+        pass
+
+    def _read_more(self):
+        return self._reads.pop(0)
+
+
+class _RecordingStop:
+    """A stop event that never fires and records every wait timeout."""
+
+    def __init__(self) -> None:
+        self.waits: "list[float]" = []
+
+    def is_set(self) -> bool:
+        return False
+
+    def wait(self, timeout: float) -> bool:
+        self.waits.append(timeout)
+        return False
+
+
+class TestPollBackoff:
+    def test_waits_double_up_to_poll_interval_and_reset_on_data(self):
+        empty = np.empty(0, dtype=RECORD_DTYPE)
+        records = _records([(1, 2, 3, 4, 6)] * 3)
+        source = _ScriptedSource(
+            [empty] * 6 + [records] + [empty] * 2 + [None], poll_interval=0.005
+        )
+        source._stop = _RecordingStop()
+        chunks = list(source)
+        assert sum(chunk.num_packets for chunk in chunks) == 3
+        assert source._stop.waits == pytest.approx(
+            [0.001, 0.002, 0.004, 0.005, 0.005, 0.005, 0.001, 0.002]
+        )
+
+    def test_poll_interval_below_first_wait_caps_every_wait(self):
+        empty = np.empty(0, dtype=RECORD_DTYPE)
+        source = _ScriptedSource([empty] * 3 + [None], poll_interval=0.0004)
+        source._stop = _RecordingStop()
+        assert list(source) == []
+        assert source._stop.waits == pytest.approx([0.0004] * 3)
 
 
 class TestSocketChunkSource:
